@@ -264,9 +264,10 @@ class TrainingLog:
         write_csv(path, [self._header, *snapshots, *finals], "\r\n")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "TrainingLog":
+    def from_file(cls, path: str | Path, data: bytes | None = None) -> "TrainingLog":
+        """Parse a training log; ``data`` is the file's bytes if the caller has already read them."""
         log = cls()
-        for row in read_csv(path, "training log", cls._header):
+        for row in read_csv(path, "training log", cls._header, data):
             if len(row) != 6 or row[0] not in ("snapshot", "final") or not _is_policy_id(row[4]):
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             kind, epoch, episode, epsilon, policy_id, mean = row

@@ -9,6 +9,7 @@ training setup, so a bare ``caresim train`` is the reference experiment.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from .agent import (
     train,
 )
 from .behavior import BackendError, PromptVariant, TemplateBackend
-from .config import ConfigError, require_probability, write_json
+from .config import ConfigError, read_bytes, require_probability, write_json
 from .env import CaregivingEnv
 from .evaluation import (
     SELECT_FINAL_ROLLOUTS,
@@ -146,10 +147,12 @@ def cmd_evaluate(args) -> int:
     outputs = {"report": str(out_dir / "evaluation_report.json")}
 
     if args.select_final:
-        log = TrainingLog.from_file(args.log)
+        # the digest is of the very bytes parsed: edited in place, the log no longer matches it
+        data = read_bytes(args.log, "training log")
+        log = TrainingLog.from_file(args.log, data)
         if not log.final_policies:
             raise ConfigError(f"training log {args.log} has no final-window policy records")
-        resolved = {"mode": "select-final", "log": args.log}
+        resolved = {"mode": "select-final", "log": args.log, "log_sha256": hashlib.sha256(data).hexdigest()}
         outputs["final_policy"] = str(out_dir / "final_policy.csv")
     elif args.baseline == "random":
         actor, resolved = random_actor, {"mode": "baseline-random", "policy": None}

@@ -1,9 +1,9 @@
 """File I/O and the strict readers of what the files hold.
 
-Every input file is read by ``read_text``, and every CSV or JSON artifact is
-written by ``write_csv`` or ``write_json``. Every value is checked where it is
-read and never coerced: a string, a boolean or a non-finite number where a
-number belongs is an error.
+Every input file is read by ``read_bytes`` and decoded by ``read_text``, and
+every CSV or JSON artifact is written by ``write_csv`` or ``write_json``. Every
+value is checked where it is read and never coerced: a string, a boolean or a
+non-finite number where a number belongs is an error.
 """
 
 from __future__ import annotations
@@ -22,18 +22,35 @@ class ConfigError(ValueError):
     """An input could not be read, failed to parse or violated its schema."""
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file; ``what`` names the file in the error."""
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of an input file; ``what`` names the file in the error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_csv(path: str | Path, what: str, header: list[str]) -> list[list[str]]:
-    """The rows under the first row of a CSV input file, which must be ``header``."""
+def read_text(path: str | Path, what: str, data: bytes | None = None) -> str:
+    """The text of a UTF-8 input file, with universal newlines as a text-mode ``open`` gives it.
+
+    ``data`` is the file's bytes if the caller has already read them.
+    """
+    if data is None:
+        data = read_bytes(path, what)
     try:
-        rows = list(csv.reader(io.StringIO(read_text(path, what))))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_csv(path: str | Path, what: str, header: list[str], data: bytes | None = None) -> list[list[str]]:
+    """The rows under the first row of a CSV input file, which must be ``header``.
+
+    ``data`` is the file's bytes if the caller has already read them.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(read_text(path, what, data))))
     except csv.Error as exc:
         raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
     if rows[:1] != [header]:

@@ -5,6 +5,11 @@ to episode termination (discounting applies only inside the learner's
 update). Every rollout gets its own rng derived from (base seed, rollout
 index), so parallel and serial evaluation agree and two evaluations with
 the same base seed are identical.
+
+``evaluate_policy`` plays a ``Policy`` through its action table, a C-level
+dict lookup, so no Python frame runs per step to choose the action;
+``random_actor`` keeps its one draw per step. Either way every step still
+goes through ``CaregivingEnv.step``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .env import CaregivingEnv
 from .seeding import derive_seed, spawn_rngs
 from .states import ACTIONS, NUM_ACTIONS, AssistAction
 
-# maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action
+# maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action;
+# evaluate_policy plays a Policy as the lookup ``dict(enumerate(policy.actions)).get``, which
+# ignores the rng, and random_actor as itself (one draw per step); each step is one env.step
 Actor = Callable[[int, random.Random], AssistAction]
 
 # final-policy selection protocol: the most frequent late policies, and rollouts per candidate
@@ -83,8 +90,10 @@ def evaluate_policy(
     """Estimate an actor's mean return over independently seeded rollouts."""
     if num_rollouts < 1:
         raise ValueError(f"num_rollouts must be >= 1, got {num_rollouts}")
+    # called as get(state, rng), the rng lands in get's unused default
+    play = dict(enumerate(actor.actions)).get if isinstance(actor, Policy) else actor
     returns = tuple(
-        run_episode(actor, env, rng) for rng in spawn_rngs(base_seed, "rollout", count=num_rollouts)
+        run_episode(play, env, rng) for rng in spawn_rngs(base_seed, "rollout", count=num_rollouts)
     )
     policy_id = getattr(actor, "policy_id", None) or "random"
     return EvaluationReport(

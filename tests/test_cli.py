@@ -260,6 +260,26 @@ def test_evaluate_select_final(tmp_path, capsys):
     assert len(chosen.policy_id) == 16
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+def test_select_final_manifest_records_the_digest_of_the_log_bytes(tmp_path, newline):
+    log_path = run_train(tmp_path) / "training_log.csv"
+    assert b"\r\n" in log_path.read_bytes()  # train writes CRLF rows
+    log_path.write_bytes(log_path.read_bytes().replace(b"\r\n", newline))
+    policy_id = TrainingLog.from_file(log_path).final_policies[0][1]
+    digests = []
+    for name in ("before", "after"):
+        argv = ["evaluate", "--select-final", "--log", str(log_path), "--rollouts", "2",
+                "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+        assert config["log"] == str(log_path)
+        assert config["log_sha256"] == hashlib.sha256(log_path.read_bytes()).hexdigest()
+        digests.append(config["log_sha256"])
+        # edit the log in place: one more final-window record
+        log_path.write_bytes(log_path.read_bytes() + b"final,,99,," + policy_id.encode() + b"," + newline)
+    assert digests[0] != digests[1]
+
+
 @pytest.mark.parametrize("select_final", [False, True])
 def test_evaluate_rejects_zero_rollouts_before_writing_manifest(tmp_path, capsys, select_final):
     out = run_train(tmp_path)

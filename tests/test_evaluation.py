@@ -3,8 +3,12 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_env import models, reward_weights, scenarios
 
 from caresim import (
     AssistAction,
@@ -19,7 +23,7 @@ from caresim import (
 )
 from caresim.agent import TrainingLog
 from caresim.evaluation import export_learning_curve, export_report, run_episode
-from caresim.seeding import spawn_rng
+from caresim.seeding import derive_seed, spawn_rng
 
 A2_EVERYWHERE = Policy(tuple([AssistAction.VERBAL_NON_DIRECTIVE] * 16))
 A0_EVERYWHERE = Policy(tuple([AssistAction.NO_ASSISTANCE] * 16))
@@ -184,3 +188,78 @@ def test_exports_write_parseable_files(tmp_path, model, scenario, weights):
     payload = json.loads(out.read_text())
     assert payload[0]["policy_id"] == A2_EVERYWHERE.policy_id
     assert payload[0]["num_rollouts"] == 3
+
+
+policy_ids = st.text(alphabet="0123", min_size=16, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), scenarios(), reward_weights(), policy_ids, st.integers(0, 2**32), st.integers(1, 6))
+def test_evaluate_policy_plays_the_reference_rollouts(model, scenario, weights, policy_id, seed, n):
+    # the reference calls each actor once per step: Policy.__call__ for a policy
+    env = CaregivingEnv(model, scenario, weights)
+    for actor in (Policy.from_id(policy_id), random_actor):
+        reference = tuple(run_episode(actor, env, spawn_rng(seed, "rollout", i)) for i in range(n))
+        assert evaluate_policy(actor, env, n, seed).returns == reference
+
+
+def reference_steps(actor, env, seed: int, n: int) -> int:
+    """Steps played by n rollouts of ``actor`` seeded as evaluate_policy seeds them."""
+    steps = 0
+    for i in range(n):
+        rng = spawn_rng(seed, "rollout", i)
+        env.reset(rng)
+        done = False
+        while not done:
+            done = env.step(actor(env.index, rng)).done
+            steps += 1
+    return steps
+
+
+@pytest.fixture
+def step_count(monkeypatch):
+    """The number of CaregivingEnv.step calls since the test began, read as ``step_count[0]``."""
+    count = [0]
+    step = CaregivingEnv.step
+
+    def counted(self, action):
+        count[0] += 1
+        return step(self, action)
+
+    monkeypatch.setattr(CaregivingEnv, "step", counted)
+    return count
+
+
+def test_every_rollout_step_goes_through_env_step(model, scenario, weights, step_count):
+    # env_steps_per_s and the env.step spans of the benchmark count these calls
+    env = CaregivingEnv(model, scenario, weights)
+    for actor in (A2_EVERYWHERE, random_actor):
+        expected = reference_steps(actor, env, 11, 25)
+        step_count[0] = 0
+        evaluate_policy(actor, env, 25, base_seed=11)
+        assert step_count[0] == expected
+
+    ids = [A2_EVERYWHERE.policy_id, A0_EVERYWHERE.policy_id, "2333111111111111"]
+    log = TrainingLog(final_policies=[(i, ids[i % 3]) for i in range(30)])
+    expected = sum(reference_steps(Policy.from_id(policy_id), env,
+                                   derive_seed(4, "candidate", policy_id), 20) for policy_id in ids)
+    step_count[0] = 0
+    select_final_policy(log, env, rollouts=20, base_seed=4)
+    assert step_count[0] == expected
+
+
+def test_every_snapshot_step_goes_through_env_step(model, scenario, weights, step_count):
+    config = TrainingConfig(model=model, scenario=scenario, weights=weights, schedule=ConstantEpsilon(0.1),
+                            seed=5, epochs=2, episodes_per_epoch=4, snapshot_episode=2,
+                            snapshot_rollouts=0, final_policy_window=4)
+    train(config)
+    training_steps = step_count[0]
+    step_count[0] = 0
+    # snapshot evaluation draws from its own streams, so the training episodes play the same steps
+    _, log = train(replace(config, snapshot_rollouts=15))
+    counted = step_count[0]
+    env = CaregivingEnv(model, scenario, weights)
+    snapshot_steps = sum(reference_steps(Policy.from_id(rec.policy_id), env,
+                                         derive_seed(config.seed, "snapshot", rec.epoch), 15)
+                         for rec in log.epochs)
+    assert counted == training_steps + snapshot_steps
