@@ -28,7 +28,7 @@ from .agent import (
     train,
 )
 from .behavior import BackendError, PromptVariant, TemplateBackend
-from .config import ConfigError, read_bytes, require_probability, write_json
+from .config import ConfigError, read_bytes, require_probability, write_json, write_text
 from .env import CaregivingEnv
 from .evaluation import (
     SELECT_FINAL_ROLLOUTS,
@@ -84,8 +84,18 @@ def _reject_options(args, names, mode: str) -> None:
 
 def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: dict,
                     outputs: dict[str, str]) -> None:
+    """Write ``out_dir/manifest.json`` once every output path can take a file.
+
+    An output path that is a directory is an error, and the directories that
+    will hold the outputs are created, so no manifest is left by a run that
+    could not write its outputs there.
+    """
+    for name, path in outputs.items():
+        if Path(path).is_dir():
+            raise ConfigError(f"{name} path {path} is a directory")
+    for parent in dict.fromkeys([out_dir, *(Path(path).parent for path in outputs.values())]):
+        parent.mkdir(parents=True, exist_ok=True)
     model, scenario, weights = environment
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "manifest.json", {
         "command": command,
         "version": __version__,
@@ -205,17 +215,13 @@ def cmd_simulate(args) -> int:
                 "noise": args.noise, "use_perceived": args.use_perceived, **asdict(variant),
                 "seed": args.seed, "http": asdict(http_config) if http_config is not None else None}
     try:
-        if transcript_path.is_dir():
-            raise ConfigError(f"transcript path {transcript_path} is a directory")
-        transcript_path.parent.mkdir(parents=True, exist_ok=True)
-        outputs = {"transcript": str(transcript_path)}
-        _write_manifest(out_dir, "simulate", environment, resolved, outputs)
+        _write_manifest(out_dir, "simulate", environment, resolved, {"transcript": str(transcript_path)})
         result = run_session(policy, env, backend, seed=args.seed, noise=args.noise,
                              use_perceived=args.use_perceived, variant=variant)
     finally:
         if http_config is not None:
             backend.close()
-    transcript_path.write_text(result.transcript, encoding="utf-8")
+    write_text(transcript_path, result.transcript)
     print(f"episode return {result.total_return:g} over {result.timesteps} timesteps")
     print(f"transcript written to {transcript_path}")
     return 0

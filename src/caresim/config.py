@@ -1,9 +1,10 @@
 """File I/O and the strict readers of what the files hold.
 
-Every input file is read by ``read_bytes`` and decoded by ``read_text``, and
-every CSV or JSON artifact is written by ``write_csv`` or ``write_json``. Every
-value is checked where it is read and never coerced: a string, a boolean or a
-non-finite number where a number belongs is an error.
+Every input file is read by ``read_bytes`` and decoded by ``read_text``.
+Every artifact is written by ``write_text``: ``write_csv`` and ``write_json``
+render their text and hand it to it, and the transcript goes to it directly.
+Every value is checked where it is read and never coerced: a string, a boolean
+or a non-finite number where a number belongs is an error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from functools import cache
 from importlib import resources
@@ -58,15 +61,43 @@ def read_csv(path: str | Path, what: str, header: list[str], data: bytes | None 
     return rows[1:]
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write an artifact: the UTF-8 bytes of ``text`` replace whatever the file held.
+
+    An existing file is overwritten from offset 0 and then, if it was longer,
+    cut to the bytes written, instead of being truncated to zero when it is
+    opened; the bytes left are the same, but the file system need not free the
+    old blocks and allocate new ones. A write that fails partway leaves the new
+    bytes written so far. A target that is not a regular file (``/dev/null``, a
+    FIFO) is written but not cut. A new file gets the mode that
+    ``open(path, "w")`` gives.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            status = os.fstat(fd)
+            # a cut that keeps the size still costs ext4 a journalled truncate
+            if stat.S_ISREG(status.st_mode) and status.st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_csv(path: str | Path, rows: Iterable[Iterable], lineterminator: str) -> None:
     """Write a CSV artifact; a float cell is written as its repr and ``None`` as an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator=lineterminator).writerows(rows)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=lineterminator).writerows(rows)
+    write_text(path, buffer.getvalue())
 
 
 def write_json(path: str | Path, doc: Any) -> None:
     """Write a JSON artifact, indented by 2 and ending in a newline."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 class Document:

@@ -467,6 +467,23 @@ def test_simulate_transcript_that_is_a_directory_is_an_error_before_writing_mani
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, output", [
+    (["train", "--epochs", "2"], "qtable.csv"),
+    (["evaluate", "--policy", "{policy}"], "evaluation_report.json"),
+    (["evaluate", "--select-final", "--log", "{log}"], "final_policy.csv"),
+    (["simulate", "--policy", "{policy}"], "transcript.txt"),
+], ids=["train", "evaluate-policy", "evaluate-select-final", "simulate"])
+def test_an_output_path_that_is_a_directory_is_an_error_before_writing_manifest(tmp_path, capsys, command,
+                                                                                 output):
+    run = run_train(tmp_path)
+    inputs = {"policy": str(run / "policy.csv"), "log": str(run / "training_log.csv")}
+    (tmp_path / "o" / output).mkdir(parents=True)
+    code = main([arg.format(**inputs) for arg in command] + ["--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert f"path {tmp_path / 'o' / output} is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_simulate_http_backend_requires_credential(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CARESIM_API_KEY", raising=False)
     out = run_train(tmp_path)

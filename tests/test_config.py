@@ -1,10 +1,18 @@
-"""The ``Document`` contract, checked once for each of the three config classes."""
+"""The ``Document`` contract, checked once for each of the three config classes,
+and the one writer that every artifact goes through."""
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
+import threading
+
 import pytest
 
-from caresim import ConfigError, RewardWeights, ScenarioSpec, TransitionModel
+from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
+from caresim.cli import main
+from caresim.config import write_csv, write_json, write_text
 
 DOCUMENTS = [TransitionModel, ScenarioSpec, RewardWeights]
 
@@ -29,3 +37,88 @@ def test_from_file_maps_read_and_parse_failures_onto_config_error(tmp_path, cls,
     with pytest.raises(ConfigError, match=message) as caught:
         cls.from_file(path)
     assert str(path) in str(caught.value)
+
+
+def _simulate(tmp_path, *extra) -> int:
+    """``caresim simulate`` of a fixed policy into ``tmp_path/s``."""
+    policy = tmp_path / "policy.csv"
+    if not policy.exists():
+        Policy.from_id("0123012301230123").to_file(policy)
+    return main(["simulate", "--policy", str(policy), "--seed", "3", "--out-dir", str(tmp_path / "s"), *extra])
+
+
+def test_a_shorter_artifact_over_a_longer_one_leaves_exactly_the_new_bytes(tmp_path):
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "a.json"
+    for path in (csv_path, json_path):
+        path.write_bytes(b"x" * 100_000)
+    write_csv(csv_path, [["a", 1.5], [None, "é"]], "\r\n")
+    write_json(json_path, {"a": [1]})
+    assert csv_path.read_bytes() == "a,1.5\r\n,é\r\n".encode("utf-8")
+    assert json_path.read_bytes() == b'{\n  "a": [\n    1\n  ]\n}\n'
+
+    assert _simulate(tmp_path) == 0
+    transcript = tmp_path / "s" / "transcript.txt"
+    expected = transcript.read_bytes()
+    transcript.write_bytes(b"x" * (2 * len(expected)))
+    assert _simulate(tmp_path) == 0
+    assert transcript.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_simulate_writes_its_transcript_to_dev_null(tmp_path):
+    assert _simulate(tmp_path, "--transcript", "/dev/null") == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_target_is_written_and_not_cut(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_text(fifo, "over a pipe\n")
+    reader.join(timeout=10)
+    assert received == [b"over a pipe\n"]
+
+
+def test_a_new_artifact_gets_the_mode_open_gives_and_an_old_one_keeps_its_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_text(tmp_path / "new", "x")
+        with open(tmp_path / "opened", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == stat.S_IMODE((tmp_path / "opened").stat().st_mode)
+    (tmp_path / "new").chmod(0o600)
+    write_text(tmp_path / "new", "y")
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o600
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_a_write_that_fails_partway_leaves_the_bytes_written_and_no_open_descriptor(tmp_path, monkeypatch,
+                                                                                    capsys):
+    assert _simulate(tmp_path) == 0
+    transcript = tmp_path / "s" / "transcript.txt"
+    expected = transcript.read_bytes()
+    transcript.write_bytes(b"x" * (2 * len(expected)))
+    target = transcript.stat()  # overwritten in place, so the inode stays the same
+    real_write, partial = os.write, []
+
+    def write(fd, data):
+        """Write 100 bytes of the transcript, then fail; other files are written as usual."""
+        if not os.path.samestat(os.fstat(fd), target):
+            return real_write(fd, data)
+        if partial:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        partial.append(fd)
+        return real_write(fd, data[:100])
+
+    descriptors = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "write", write)
+    code = _simulate(tmp_path)
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
+    assert transcript.read_bytes() == expected[:100]
+    assert len(os.listdir("/proc/self/fd")) == descriptors

@@ -50,10 +50,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # calls that open, read or write a file: a bare ``open``, a method (``.name``),
 # or a function of the csv and json modules
-FILE_CALLS = {"open", ".open", ".read_bytes", ".read_text", ".write_text",
+FILE_CALLS = {"open", ".open", ".read_bytes", ".read_text", ".write_bytes", ".write_text",
               "csv.reader", "csv.writer", "json.dump", "json.load"}
-# (module, innermost function, call) of each file call allowed outside config.py
-ALLOWED_FILE_CALLS = {("cli.py", "cmd_simulate", ".write_text")}  # the plain-text transcript
 
 
 def _call_name(func: ast.expr) -> str | None:
@@ -82,5 +80,5 @@ def test_only_config_touches_files():
         for scope, name in _file_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     }
     in_config = {name for module, _, name in calls if module == "config.py"}
-    assert {"open", ".read_bytes", ".write_text"} <= in_config  # the scan sees config's own I/O
-    assert {call for call in calls if call[0] != "config.py"} == ALLOWED_FILE_CALLS
+    assert {".open", ".read_bytes"} <= in_config  # the scan sees config's own I/O (os.open, Path.read_bytes)
+    assert {call for call in calls if call[0] != "config.py"} == set()
