@@ -166,6 +166,11 @@ def require_probability(value: Any, where: str) -> float:
 
 
 def read_name(value: Any, where: str) -> str:
+    """``value`` as a string that UTF-8 can encode, as every artifact it reaches is UTF-8."""
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON escape can spell
+        raise ConfigError(f"{where} must be text that UTF-8 can encode, got {value!r}") from exc
     return value

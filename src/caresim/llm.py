@@ -115,9 +115,9 @@ def _excerpt(raw: bytes) -> str:
 
 
 def _strip_zone(authority: str) -> str:
-    """``authority`` without an IPv6 zone id, cut as ``http.client`` cuts it for the Host field."""
-    head, percent, _ = authority.partition("%")
-    return head + "]" if percent and head.startswith("[") else authority
+    """``authority`` without an IPv6 zone id, for the Host field; any port after the ``]`` stays."""
+    head, percent, rest = authority.partition("%")
+    return head + "]" + rest.partition("]")[2] if percent and head.startswith("[") else authority
 
 
 # http.client's limits: the longest line of a reply and the most header fields it may carry
@@ -209,6 +209,20 @@ def _read_reply(reader) -> tuple[int, bytes, bool]:
     return status, _read_exact(reader, int(length)), keep_open
 
 
+_API_KEY_ENV = "CARESIM_API_KEY"  # the environment variable that holds the credential
+
+
+def _api_key() -> str:
+    key = os.environ.get(_API_KEY_ENV, "")
+    if not key:
+        raise ConfigError(f"HTTP backend selected but the credential variable {_API_KEY_ENV} is not set")
+    if not _HEADER_TEXT.fullmatch(key):
+        # it goes out in a header field; the message must not repeat it
+        raise ConfigError(f"the credential in {_API_KEY_ENV} must be Latin-1 text "
+                          "without control characters")
+    return key
+
+
 @dataclass
 class HttpBackendConfig:
     base_url: str
@@ -216,13 +230,12 @@ class HttpBackendConfig:
     temperature: float = 0.7
     timeout_ms: int = 30000
     max_retries: int = 2
-    api_key_env: str = "CARESIM_API_KEY"
 
     def __post_init__(self) -> None:
         # before any check that echoes the URL: a password in it must reach no message or file
         if "@" in _split_authority(self.base_url)[0]:
             raise ConfigError("base URL must not contain a user name or password; the "
-                              f"credential is read from the {self.api_key_env} variable")
+                              f"credential is read from the {_API_KEY_ENV} variable")
         _split_http_url(self.base_url, "base URL")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
@@ -231,18 +244,6 @@ class HttpBackendConfig:
             raise ConfigError(f"timeout must be >= 1 ms and <= {max_ms:.0f} ms, got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ConfigError(f"max retries must be >= 0, got {self.max_retries}")
-
-    def api_key(self) -> str:
-        key = os.environ.get(self.api_key_env, "")
-        if not key:
-            raise ConfigError(
-                f"HTTP backend selected but the credential variable {self.api_key_env} is not set"
-            )
-        if not _HEADER_TEXT.fullmatch(key):
-            # it goes out in a header field; the message must not repeat it
-            raise ConfigError(f"the credential in {self.api_key_env} must be Latin-1 text "
-                              "without control characters")
-        return key
 
 
 class ChatCompletionsClient:
@@ -261,7 +262,7 @@ class ChatCompletionsClient:
         if port != _DEFAULT_PORTS[url.scheme]:
             host_field += f":{port}"
         headers = {
-            "Authorization": f"Bearer {config.api_key()}",
+            "Authorization": f"Bearer {_api_key()}",
             "Content-Type": "application/json",
             "User-Agent": f"caresim/{__version__}",
         }
@@ -301,7 +302,7 @@ class ChatCompletionsClient:
             else:
                 authority = bracketed if url.port is None else f"{bracketed}:{url.port}"
                 target = f"http://{authority}{target}"
-                # http.client names the absolute URL's authority as it stands
+                # the absolute URL's authority without its zone id; http.client cuts the port too
                 host_field = _strip_zone(authority)
                 headers.update(proxy_headers)
         # the request head as http.client writes it, split around the Content-Length value
@@ -346,6 +347,7 @@ class ChatCompletionsClient:
                 content = json.loads(raw)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
                     raise TypeError("content is not a string")
+                content.encode("utf-8")  # a lone surrogate, which no transcript can hold, raises
                 return content
             except (ValueError, KeyError, IndexError, TypeError):
                 last_error = BackendError(f"malformed completion reply{_excerpt(raw)}")

@@ -393,18 +393,31 @@ def test_undecodable_input_file_is_an_error_before_writing_manifest(tmp_path, ca
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
-def test_a_scenario_over_the_step_limit_is_an_error_before_writing_manifest(tmp_path, capsys, command):
-    scenario = tmp_path / "huge.json"
-    scenario.write_text(json.dumps({"name": "huge", "max_trial": 10**17, "tasks": [{"name": "t", "subtasks": ["a"]}]}),
-                        encoding="utf-8")
+def run_on_scenario(tmp_path, command: str, doc: dict) -> int:
+    """``caresim train``, ``evaluate`` or ``simulate`` on the scenario ``doc``, into ``tmp_path/o``."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
     policy = tmp_path / "policy.csv"
     Policy((AssistAction.NO_ASSISTANCE,) * 16).to_file(policy)
     argv = {"train": SMOKE_TRAIN, "evaluate": ["evaluate", "--baseline", "random"],
             "simulate": ["simulate", "--policy", str(policy)]}[command]
-    code = main([*argv, "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
-    assert code == 1
+    return main([*argv, "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+def test_a_scenario_over_the_step_limit_is_an_error_before_writing_manifest(tmp_path, capsys, command):
+    doc = {"name": "huge", "max_trial": 10**17, "tasks": [{"name": "t", "subtasks": ["a"]}]}
+    assert run_on_scenario(tmp_path, command, doc) == 1
     assert capsys.readouterr().err.startswith(f"error: scenario allows {10**17} steps")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+def test_a_scenario_name_utf8_cannot_encode_is_an_error_before_writing_manifest(tmp_path, capsys, command):
+    # json.dumps writes the lone surrogate as the escape \ud800, which json.loads reads back
+    doc = {**ScenarioSpec.default().to_dict(), "name": "shop\ud800"}
+    assert run_on_scenario(tmp_path, command, doc) == 1
+    assert capsys.readouterr().err.startswith("error: scenario name must be text that UTF-8 can encode")
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

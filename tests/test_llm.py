@@ -1,4 +1,4 @@
-"""HTTP backend tests against a local fake chat-completions server."""
+"""HTTP backend tests against a local raw-socket chat-completions server."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -44,82 +43,105 @@ def make_reply(content: str) -> bytes:
     return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
 
 
-class FakeChatServer:
-    """Serves a scripted sequence of responses over HTTP/1.1 keep-alive.
+class Reply(NamedTuple):
+    raw: bytes
+    close: bool = False  # close the connection after sending it
+    delay: float = 0.0  # seconds to wait before sending it
 
-    Records request payloads, request targets and headers, and the number
-    of TCP connections accepted.
+
+def reply(status: int, body: bytes | str, *fields: str) -> bytes:
+    """An HTTP/1.1 reply with ``fields`` and the body's Content-Length."""
+    body = body.encode() if isinstance(body, str) else body
+    head = "".join(f"{field}\r\n" for field in (*fields, f"Content-Length: {len(body)}"))
+    return f"HTTP/1.1 {status} {http.client.responses[status]}\r\n{head}\r\n".encode() + body
+
+
+def ok_reply(content: str = DEFAULT_REPLY, *fields: str) -> bytes:
+    return reply(200, make_reply(content), *fields)
+
+
+class RawServer:
+    """Answers each request with scripted bytes, exactly as given.
+
+    Records the bytes of every request and the number of connections
+    accepted. With the script empty it answers ``ok_reply()``.
     """
 
     def __init__(self):
-        # entries: ("ok", content) | ("status", code, body[, headers]) | ("sleep", seconds)
-        self.script: list = []
-        self.requests: list[dict] = []
-        self.targets: list[str] = []
-        self.headers: list[dict] = []
+        self.script: list[Reply] = []
+        self.requests: list[bytes] = []
         self.connections = 0
-        self.close_after_reply = False  # drop the connection without announcing it
-        self.backends: list[HttpBackend] = []  # closed with the server
-        server = self
+        self.clients: list[ChatCompletionsClient] = []  # closed with the server
+        self._stop = threading.Event()
+        self._threads: list[threading.Thread] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.02)
+        self.authority = "%s:%d" % self._listener.getsockname()
+        self.base_url = f"http://{self.authority}/v1"
+        self._accepter = threading.Thread(target=self._accept, daemon=True)
+        self._accepter.start()
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
+    def _accept(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
-            def setup(self):
-                super().setup()
-                server.connections += 1
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                server.requests.append(json.loads(self.rfile.read(length)))
-                server.targets.append(f"{self.command} {self.path}")
-                server.headers.append(dict(self.headers))
-                entry = server.script.pop(0) if server.script else ("ok", DEFAULT_REPLY)
-                if entry[0] == "sleep":
-                    time.sleep(entry[1])
-                    entry = ("ok", "Nonverbal: late\nVerbal: late")
-                extra = {}
-                if entry[0] == "ok":
-                    body = make_reply(entry[1])
-                    self.send_response(200)
-                else:
-                    code, raw = entry[1], entry[2]
-                    extra = entry[3] if len(entry) > 3 else {}
-                    body = raw.encode()
-                    self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                for key, value in extra.items():
-                    self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(body)
-                self.close_connection = self.close_connection or server.close_after_reply
-
-            def log_message(self, *args):
-                pass
-
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # a short poll interval lets shutdown() return without waiting out the 0.5 s default
-        self.thread = threading.Thread(target=self.httpd.serve_forever, args=(0.02,), daemon=True)
-        self.thread.start()
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.httpd.server_address
-        return f"http://{host}:{port}/v1"
+    def _serve(self, conn: socket.socket):
+        conn.settimeout(0.5)
+        with conn, conn.makefile("rb") as reader:
+            while not self._stop.is_set():
+                try:
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        line = reader.readline()
+                        if not line:
+                            return
+                        head += line
+                    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+                    self.requests.append(head + reader.read(length))
+                    scripted = self.script.pop(0) if self.script else Reply(ok_reply())
+                    self._stop.wait(scripted.delay)  # not time.sleep, which tests may replace
+                    conn.sendall(scripted.raw)
+                except TimeoutError:
+                    continue  # idle between requests; look at the stop flag again
+                except OSError:
+                    return  # the client gave up on the connection
+                if scripted.close:
+                    return
 
     def close(self):
-        for backend in self.backends:
-            backend.close()
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        for client in self.clients:
+            client.close()
+        self._stop.set()
+        for thread in [self._accepter, *self._threads]:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        self._listener.close()
 
 
-@pytest.fixture()
-def server():
-    fake = FakeChatServer()
-    yield fake
-    fake.close()
+class Request(NamedTuple):
+    target: str  # the method and the request target, e.g. "POST /v1/chat/completions"
+    fields: dict[str, str]
+    body: bytes
+
+
+def parse_request(raw: bytes) -> Request:
+    """A request as ``RawServer`` recorded it."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    line, *fields = head.decode("latin-1").split("\r\n")
+    return Request(line.removesuffix(" HTTP/1.1"), dict(field.split(": ", 1) for field in fields), body)
+
+
+def clear_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
 
 
 @pytest.fixture()
@@ -127,97 +149,130 @@ def http_env(monkeypatch):
     monkeypatch.setenv("CARESIM_API_KEY", "test-key")
 
 
-def make_backend(server, **overrides) -> HttpBackend:
-    config = HttpBackendConfig(
-        base_url=server.base_url,
-        model="fake-model",
-        timeout_ms=overrides.pop("timeout_ms", 2000),
-        max_retries=overrides.pop("max_retries", 1),
-        **overrides,
-    )
-    backend = HttpBackend(config)
-    server.backends.append(backend)
+@pytest.fixture()
+def raw(http_env, monkeypatch):
+    clear_proxy_environment(monkeypatch)
+    server = RawServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The retry back-offs slept, recorded instead of slept."""
+    slept: list[float] = []
+    monkeypatch.setattr("caresim.llm.time.sleep", slept.append)
+    return slept
+
+
+def raw_backend(raw: RawServer, base_url: str | None = None, **overrides) -> HttpBackend:
+    """A backend for ``raw``'s endpoint or ``base_url``, closed with the server."""
+    config = {"model": "m", "timeout_ms": 2000, "max_retries": 0, **overrides}
+    backend = HttpBackend(HttpBackendConfig(base_url or raw.base_url, **config))
+    raw.clients.append(backend.client)
     return backend
 
 
-def test_missing_credential_is_a_config_error(server, monkeypatch):
+def test_missing_credential_is_a_config_error(raw, monkeypatch):
     monkeypatch.delenv("CARESIM_API_KEY", raising=False)
     with pytest.raises(ConfigError, match="CARESIM_API_KEY"):
-        make_backend(server)
+        raw_backend(raw)
 
 
-def test_narrate_round_trip(server, http_env):
-    server.script.append(("ok", "Nonverbal: stares at the shelf\nVerbal: Which one was it?"))
-    backend = make_backend(server)
+def test_narrate_round_trip(raw):
+    raw.script.append(Reply(ok_reply("Nonverbal: stares at the shelf\nVerbal: Which one was it?")))
+    backend = raw_backend(raw, model="fake-model")
     ctx = InteractionContext(scenario_name="s", task_name="t", subtask_name="st")
     behavior = backend.narrate(StatusVector(0, 1, 0, 0), ctx)
     assert behavior == BehaviorText(nonverbal="stares at the shelf", verbal="Which one was it?")
-    request = server.requests[-1]
-    assert request["model"] == "fake-model"
-    assert request["messages"][0]["role"] == "system"
-    assert "[Forgetfulness=0, Confusion=1, Anger=0, Disengagement=0]" in request["messages"][1]["content"]
+    payload = json.loads(parse_request(raw.requests[-1]).body)
+    assert payload["model"] == "fake-model"
+    assert payload["messages"][0]["role"] == "system"
+    assert "[Forgetfulness=0, Confusion=1, Anger=0, Disengagement=0]" in payload["messages"][1]["content"]
 
 
-def test_perceive_round_trip(server, http_env):
-    server.script.append(("ok", "The state vector is [0, 1, 0, 1]."))
-    backend = make_backend(server)
-    perceived = backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
+def test_perceive_round_trip(raw):
+    raw.script.append(Reply(ok_reply("The state vector is [0, 1, 0, 1].")))
+    perceived = raw_backend(raw).perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
     assert perceived.state == StatusVector(0, 1, 0, 1)
 
 
-def test_render_assist_round_trip_and_no_call_for_a0(server, http_env):
-    server.script.append(("ok", "Is there anything missing from your basket?"))
-    backend = make_backend(server)
+def test_render_assist_round_trip_and_no_call_for_a0(raw):
+    raw.script.append(Reply(ok_reply("Is there anything missing from your basket?")))
+    backend = raw_backend(raw)
     ctx = InteractionContext()
     utterance = backend.render_assist(AssistAction.VERBAL_NON_DIRECTIVE, ctx, PromptVariant(), None)
     assert utterance == "Is there anything missing from your basket?"
-    calls_before = len(server.requests)
+    calls_before = len(raw.requests)
     assert backend.render_assist(AssistAction.NO_ASSISTANCE, ctx, PromptVariant(), None) == ""
-    assert len(server.requests) == calls_before
+    assert len(raw.requests) == calls_before
 
 
-def test_client_error_is_not_retried(server, http_env):
-    server.script.append(("status", 401, '{"error": "bad key"}'))
-    backend = make_backend(server, max_retries=3)
+def test_client_error_is_not_retried(raw, sleeps):
+    raw.script.append(Reply(reply(401, '{"error": "bad key"}')))
+    backend = raw_backend(raw, max_retries=3)
     with pytest.raises(BackendError, match="401"):
         backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
-    assert len(server.requests) == 1
+    assert (len(raw.requests), sleeps) == (1, [])
 
 
-def test_server_error_retried_within_budget_then_surfaced(server, http_env):
-    server.script.extend([("status", 500, "boom")] * 5)
-    backend = make_backend(server, max_retries=2)
+def test_server_error_retried_within_budget_then_surfaced(raw, sleeps):
+    raw.script.extend([Reply(reply(500, "boom"))] * 5)
+    backend = raw_backend(raw, max_retries=2)
     with pytest.raises(BackendError, match="server error 500"):
         backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
-    assert len(server.requests) == 3  # initial attempt + 2 retries, never more
+    assert len(raw.requests) == 3  # initial attempt + 2 retries, never more
+    assert sleeps == [0.25, 0.5]
 
 
-def test_server_error_then_recovery(server, http_env):
-    server.script.extend([("status", 502, "flaky"), ("ok", "[1,0,0,0]")])
-    backend = make_backend(server, max_retries=2)
+def test_server_error_then_recovery(raw, sleeps):
+    raw.script.extend([Reply(reply(502, "flaky")), Reply(ok_reply("[1,0,0,0]"))])
+    backend = raw_backend(raw, max_retries=2)
     perceived = backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
     assert perceived.state == StatusVector(1, 0, 0, 0)
-    assert len(server.requests) == 2
+    assert (len(raw.requests), sleeps) == (2, [0.25])
 
 
-def test_malformed_reply_surfaced_with_raw(server, http_env):
-    server.script.extend([("status", 200, '{"unexpected": true}')] * 2)
-    backend = make_backend(server, max_retries=1)
+def test_malformed_reply_surfaced_with_raw(raw, sleeps):
+    raw.script.extend([Reply(reply(200, '{"unexpected": true}'))] * 2)
+    backend = raw_backend(raw, max_retries=1)
     with pytest.raises(BackendError, match="malformed"):
         backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
-    assert len(server.requests) == 2
+    assert (len(raw.requests), sleeps) == (2, [0.25])
 
 
-def test_unparseable_narration_reply(server, http_env):
-    server.script.extend([("ok", "just prose, no structure")] * 2)
-    backend = make_backend(server, max_retries=1)
+# valid JSON whose content decodes to a lone surrogate, which UTF-8 cannot encode
+_SURROGATE_REPLY = Reply(ok_reply(DEFAULT_REPLY + "\ud800"))
+
+
+def test_content_that_utf8_cannot_encode_is_a_malformed_reply(raw, sleeps):
+    raw.script.extend([_SURROGATE_REPLY] * 2)
+    with pytest.raises(BackendError, match="^malformed completion reply"):
+        raw_backend(raw, max_retries=1).client.complete([])
+    assert (len(raw.requests), sleeps) == (2, [0.25])
+
+
+def test_simulate_against_content_that_utf8_cannot_encode_is_an_error(raw, tmp_path, capsys):
+    raw.script.append(_SURROGATE_REPLY)
+    Policy(tuple([AssistAction.NO_ASSISTANCE] * 16)).to_file(tmp_path / "policy.csv")
+    code = main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--backend", "http",
+                 "--base-url", raw.base_url, "--llm-model", "m", "--max-retries", "0",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: malformed completion reply")
+
+
+def test_unparseable_narration_reply(raw, sleeps):
+    raw.script.append(Reply(ok_reply("just prose, no structure")))
+    backend = raw_backend(raw, max_retries=1)
     with pytest.raises(BackendError, match="Nonverbal"):
         backend.narrate(StatusVector.zero(), InteractionContext())
+    assert (len(raw.requests), sleeps) == (1, [])  # the endpoint answered; only the text was wrong
 
 
-def test_timeout_surfaces_as_backend_timeout(server, http_env):
-    server.script.append(("sleep", 1.5))
-    backend = make_backend(server, timeout_ms=200, max_retries=0)
+def test_timeout_surfaces_as_backend_timeout(raw):
+    raw.script.append(Reply(ok_reply("Nonverbal: late\nVerbal: late"), delay=1.5))
+    backend = raw_backend(raw, timeout_ms=200)
     start = time.monotonic()
     with pytest.raises(BackendError, match="timed out") as err:
         backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
@@ -225,11 +280,10 @@ def test_timeout_surfaces_as_backend_timeout(server, http_env):
     assert time.monotonic() - start < 1.2  # honored the timeout, not the slow reply
 
 
-def test_backoff_stays_at_two_seconds_however_many_retries(http_env, monkeypatch):
+def test_backoff_stays_at_two_seconds_however_many_retries(http_env, monkeypatch, sleeps):
     clear_proxy_environment(monkeypatch)
     client = ChatCompletionsClient(HttpBackendConfig("http://chat.invalid/v1", "m", max_retries=1100))
-    sleeps, attempts = [], []
-    monkeypatch.setattr("caresim.llm.time.sleep", sleeps.append)
+    attempts = []
 
     def refuse(body):
         attempts.append(body)
@@ -251,76 +305,58 @@ def test_reply_parsers():
         parse_vector_reply("no vector here")
 
 
-def test_calls_share_one_keep_alive_connection(server, http_env):
-    backend = make_backend(server)
+def test_calls_share_one_keep_alive_connection(raw):
+    backend = raw_backend(raw)
     for _ in range(10):
         backend.narrate(StatusVector.zero(), InteractionContext())
-    assert len(server.requests) == 10
-    assert server.connections == 1
+    assert len(raw.requests) == 10
+    assert raw.connections == 1
 
 
-def test_connection_closed_by_server_is_reopened_without_spending_an_attempt(server, http_env):
-    server.close_after_reply = True
-    backend = make_backend(server, max_retries=1)
-    start = time.monotonic()
+def test_connection_closed_by_server_is_reopened_without_spending_an_attempt(raw, sleeps):
+    raw.script.extend([Reply(ok_reply(), close=True)] * 5)  # no Connection: close announces it
+    backend = raw_backend(raw, max_retries=1)
     for _ in range(5):
         backend.narrate(StatusVector.zero(), InteractionContext())
-    elapsed = time.monotonic() - start
-    assert len(server.requests) == 5  # exactly one request per call
-    assert server.connections == 5
-    assert elapsed < 0.25  # no retry backoff was slept
+    assert len(raw.requests) == 5  # exactly one request per call
+    assert raw.connections == 5
+    assert sleeps == []  # no retry backoff was slept
 
 
-def test_redirect_is_rejected_at_once_and_not_followed(server, http_env):
-    server.script.append(("status", 302, "", {"Location": "/elsewhere"}))
-    backend = make_backend(server, max_retries=3)
+def test_redirect_is_rejected_at_once_and_not_followed(raw, sleeps):
+    raw.script.append(Reply(reply(302, "", "Location: /elsewhere")))
+    backend = raw_backend(raw, max_retries=3)
     with pytest.raises(BackendError, match="302"):
         backend.perceive(BehaviorText("x", "y"), noise=0.0, rng=None)
-    assert server.targets == ["POST /v1/chat/completions"]
+    assert [parse_request(request).target for request in raw.requests] == ["POST /v1/chat/completions"]
+    assert sleeps == []
 
 
-def clear_proxy_environment(monkeypatch):
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
+def test_http_proxy_from_environment_receives_the_absolute_url(raw, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{raw.authority}")
+    raw_backend(raw, "http://chat.invalid/v1").narrate(StatusVector.zero(), InteractionContext())
+    [request] = map(parse_request, raw.requests)
+    assert request.target == "POST http://chat.invalid/v1/chat/completions"
+    assert request.fields["Host"] == "chat.invalid"
+    assert request.fields["Authorization"] == "Bearer test-key"
+    assert request.fields["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
 
 
-def test_http_proxy_from_environment_receives_the_absolute_url(server, http_env, monkeypatch):
-    clear_proxy_environment(monkeypatch)
-    host, port = server.httpd.server_address
-    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{host}:{port}")
-    backend = HttpBackend(HttpBackendConfig(base_url="http://chat.invalid/v1", model="m"))
-    backend.narrate(StatusVector.zero(), InteractionContext())
-    backend.close()
-    assert server.targets == ["POST http://chat.invalid/v1/chat/completions"]
-    headers = server.headers[0]
-    assert headers["Host"] == "chat.invalid"
-    assert headers["Authorization"] == "Bearer test-key"
-    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
-
-
-def test_http_proxy_receives_a_non_ascii_host_as_its_a_label(server, http_env, monkeypatch):
-    clear_proxy_environment(monkeypatch)
-    host, port = server.httpd.server_address
-    monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
-    backend = HttpBackend(HttpBackendConfig(base_url="http://\u00e9.example:8080/v1", model="m"))
-    backend.narrate(StatusVector.zero(), InteractionContext())
-    backend.close()
+def test_http_proxy_receives_a_non_ascii_host_as_its_a_label(raw, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://{raw.authority}")
+    raw_backend(raw, "http://\u00e9.example:8080/v1").narrate(StatusVector.zero(), InteractionContext())
+    [request] = map(parse_request, raw.requests)
     # the request line is encoded as ASCII
-    assert server.targets == ["POST http://xn--9ca.example:8080/v1/chat/completions"]
-    assert server.headers[0]["Host"] == "xn--9ca.example:8080"
+    assert request.target == "POST http://xn--9ca.example:8080/v1/chat/completions"
+    assert request.fields["Host"] == "xn--9ca.example:8080"
 
 
-def test_proxy_credentials_are_sent_as_their_percent_decoded_bytes(server, http_env, monkeypatch):
-    clear_proxy_environment(monkeypatch)
-    host, port = server.httpd.server_address
+def test_proxy_credentials_are_sent_as_their_percent_decoded_bytes(raw, monkeypatch):
     # UTF-8 "uł" and a byte that is no UTF-8 at all: neither is Latin-1 text
-    monkeypatch.setenv("http_proxy", f"http://u%C5%82:pw%FF@{host}:{port}")
-    backend = HttpBackend(HttpBackendConfig(base_url="http://chat.invalid/v1", model="m"))
-    backend.narrate(StatusVector.zero(), InteractionContext())
-    backend.close()
+    monkeypatch.setenv("http_proxy", f"http://u%C5%82:pw%FF@{raw.authority}")
+    raw_backend(raw, "http://chat.invalid/v1").narrate(StatusVector.zero(), InteractionContext())
     expected = "Basic " + base64.b64encode(b"u\xc5\x82:pw\xff").decode()
-    assert server.headers[0]["Proxy-Authorization"] == expected
+    assert parse_request(raw.requests[0]).fields["Proxy-Authorization"] == expected
 
 
 def test_https_base_url_verifies_certificates_and_tunnels_through_a_proxy(http_env, monkeypatch):
@@ -455,27 +491,18 @@ def test_client_connects_to_the_host_and_port_of_any_accepted_url(http_env, monk
     assert (conn.host, conn.port) == (parts.hostname, default if parts.port is None else parts.port)
 
 
-def test_cli_import_does_not_load_requests():
-    src = str(Path(caresim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, caresim.cli; sys.exit('requests' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
-
-
 def test_cli_import_leaves_the_http_stack_unloaded():
     # only `simulate --backend http` needs caresim.llm and what it imports
     src = str(Path(caresim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, caresim.cli; "
-            "sys.exit(sorted({'caresim.llm', 'http.client', 'ssl'} & set(sys.modules)) or None)")
+            "sys.exit(sorted({'caresim.llm', 'http.client', 'ssl', 'requests'} & set(sys.modules)) or None)")
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
-def test_simulate_manifest_records_http_settings_but_never_the_credential(
-    server, tmp_path, monkeypatch
-):
+def test_simulate_manifest_records_http_settings_but_never_the_credential(raw, tmp_path, monkeypatch):
     secret = "sk-test-credential-5e1f"
     monkeypatch.setenv("CARESIM_API_KEY", secret)
     Policy(tuple([AssistAction.VERBAL_NON_DIRECTIVE] * 16)).to_file(tmp_path / "policy.csv")
@@ -484,21 +511,20 @@ def test_simulate_manifest_records_http_settings_but_never_the_credential(
     model_path.write_text(json.dumps(TransitionModel.default().to_dict()), encoding="utf-8")
     out = tmp_path / "sim"
     code = main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--backend", "http",
-                 "--base-url", server.base_url, "--llm-model", "fake-model",
+                 "--base-url", raw.base_url, "--llm-model", "fake-model",
                  "--temperature", "0.2", "--timeout-ms", "1500", "--max-retries", "0",
                  "--model", str(model_path), "--out-dir", str(out)])
     assert code == 0
-    assert server.headers[0]["Authorization"] == f"Bearer {secret}"
-    assert server.connections == 1
+    assert parse_request(raw.requests[0]).fields["Authorization"] == f"Bearer {secret}"
+    assert raw.connections == 1
     manifest_text = (out / "manifest.json").read_text(encoding="utf-8")
     config = json.loads(manifest_text)["config"]
     assert config["http"] == {
-        "base_url": server.base_url,
+        "base_url": raw.base_url,
         "model": "fake-model",
         "temperature": 0.2,
         "timeout_ms": 1500,
         "max_retries": 0,
-        "api_key_env": "CARESIM_API_KEY",
     }
     assert config["transition_model"] == TransitionModel.default().to_dict()
     assert {"scenario", "reward_weights"} <= set(config)
@@ -506,111 +532,7 @@ def test_simulate_manifest_records_http_settings_but_never_the_credential(
     assert secret not in (out / "transcript.txt").read_text(encoding="utf-8")
 
 
-# --- the client's own HTTP/1.1 exchange, against a raw-socket server ---
-
-
-class Reply(NamedTuple):
-    raw: bytes
-    close: bool = False  # close the connection after sending it
-    delay: float = 0.0  # seconds to wait before sending it
-
-
-def ok_reply(content: str = DEFAULT_REPLY, *fields: str, version: str = "1.1") -> bytes:
-    body = make_reply(content)
-    head = "".join(f"{field}\r\n" for field in (*fields, f"Content-Length: {len(body)}"))
-    return f"HTTP/{version} 200 OK\r\n{head}\r\n".encode() + body
-
-
-class RawServer:
-    """Answers each request with scripted bytes, exactly as given.
-
-    Records the bytes of every request and the number of connections
-    accepted. With the script empty it answers ``ok_reply()``.
-    """
-
-    def __init__(self):
-        self.script: list[Reply] = []
-        self.requests: list[bytes] = []
-        self.connections = 0
-        self.clients: list[ChatCompletionsClient] = []  # closed with the server
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self._listener.settimeout(0.02)
-        self._accepter = threading.Thread(target=self._accept, daemon=True)
-        self._accepter.start()
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._listener.getsockname()
-        return f"http://{host}:{port}/v1"
-
-    def _accept(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            self.connections += 1
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve(self, conn: socket.socket):
-        conn.settimeout(0.5)
-        with conn, conn.makefile("rb") as reader:
-            while not self._stop.is_set():
-                try:
-                    head = b""
-                    while not head.endswith(b"\r\n\r\n"):
-                        line = reader.readline()
-                        if not line:
-                            return
-                        head += line
-                    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
-                    self.requests.append(head + reader.read(length))
-                    reply = self.script.pop(0) if self.script else Reply(ok_reply())
-                    self._stop.wait(reply.delay)  # not time.sleep, which tests may replace
-                    conn.sendall(reply.raw)
-                except TimeoutError:
-                    continue  # idle between requests; look at the stop flag again
-                except OSError:
-                    return  # the client gave up on the connection
-                if reply.close:
-                    return
-
-    def close(self):
-        for client in self.clients:
-            client.close()
-        self._stop.set()
-        for thread in [self._accepter, *self._threads]:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        self._listener.close()
-
-
-@pytest.fixture()
-def raw(http_env, monkeypatch):
-    clear_proxy_environment(monkeypatch)
-    server = RawServer()
-    yield server
-    server.close()
-
-
-@pytest.fixture()
-def sleeps(monkeypatch):
-    """The retry back-offs slept, recorded instead of slept."""
-    slept: list[float] = []
-    monkeypatch.setattr("caresim.llm.time.sleep", slept.append)
-    return slept
-
-
-def raw_client(raw: RawServer, base_url: str | None = None, **overrides) -> ChatCompletionsClient:
-    client = ChatCompletionsClient(HttpBackendConfig(
-        base_url or raw.base_url, "m", timeout_ms=overrides.pop("timeout_ms", 2000),
-        max_retries=overrides.pop("max_retries", 0), **overrides))
-    raw.clients.append(client)
-    return client
+# --- the client's own HTTP/1.1 exchange ---
 
 
 def test_chunked_reply_with_an_extension_and_a_trailer(raw):
@@ -619,7 +541,7 @@ def test_chunked_reply_with_an_extension_and_a_trailer(raw):
                             + b"a;name=value\r\n" + body[:10] + b"\r\n"
                             + b"%X\r\n" % (len(body) - 10) + body[10:] + b"\r\n"
                             + b"0;last\r\nX-Trailer: t\r\n\r\n"))
-    client = raw_client(raw)
+    client = raw_backend(raw).client
     assert client.complete([]) == "Nonverbal: chunked\nVerbal: yes"
     assert client.complete([]) == DEFAULT_REPLY  # the framing left nothing unread
     assert raw.connections == 1
@@ -628,7 +550,7 @@ def test_chunked_reply_with_an_extension_and_a_trailer(raw):
 def test_reply_with_connection_close_is_followed_by_a_new_connection(raw, sleeps):
     # the server keeps the connection open: only the client's reading of the field closes it
     raw.script.append(Reply(ok_reply("first", "Connection: close")))
-    client = raw_client(raw, max_retries=1)
+    client = raw_backend(raw, max_retries=1).client
     assert client.complete([]) == "first"
     assert client.complete([]) == DEFAULT_REPLY
     assert (len(raw.requests), raw.connections, sleeps) == (2, 2, [])
@@ -637,7 +559,7 @@ def test_reply_with_connection_close_is_followed_by_a_new_connection(raw, sleeps
 def test_http_1_0_reply_delimited_by_the_close(raw, sleeps):
     raw.script.append(Reply(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
                             + make_reply("until close"), close=True))
-    client = raw_client(raw, max_retries=1)
+    client = raw_backend(raw, max_retries=1).client
     assert client.complete([]) == "until close"
     assert client.complete([]) == DEFAULT_REPLY
     assert (len(raw.requests), raw.connections, sleeps) == (2, 2, [])
@@ -645,7 +567,7 @@ def test_http_1_0_reply_delimited_by_the_close(raw, sleeps):
 
 def test_interim_100_continue_is_skipped(raw):
     raw.script.append(Reply(b"HTTP/1.1 100 Continue\r\n\r\n" + ok_reply("after continue")))
-    client = raw_client(raw)
+    client = raw_backend(raw).client
     assert client.complete([]) == "after continue"
     assert client.complete([]) == DEFAULT_REPLY
     assert raw.connections == 1
@@ -653,7 +575,7 @@ def test_interim_100_continue_is_skipped(raw):
 
 def test_reply_with_one_hundred_header_fields_is_read(raw):
     raw.script.append(Reply(ok_reply("many fields", *(f"X-{i}: v" for i in range(99)))))
-    assert raw_client(raw).complete([]) == "many fields"
+    assert raw_backend(raw).client.complete([]) == "many fields"
 
 
 _BODY = make_reply(DEFAULT_REPLY)
@@ -680,7 +602,7 @@ _BODY = make_reply(DEFAULT_REPLY)
 )
 def test_framing_fault_is_retried_then_fails_as_connection_failed(raw, sleeps, reply, message):
     raw.script.extend([reply, reply])
-    client = raw_client(raw, max_retries=1)
+    client = raw_backend(raw, max_retries=1).client
     with pytest.raises(BackendError, match=f"^connection failed: .*{re.escape(message)}"):
         client.complete([])
     assert (len(raw.requests), sleeps) == (2, [0.25])
@@ -689,7 +611,7 @@ def test_framing_fault_is_retried_then_fails_as_connection_failed(raw, sleeps, r
 
 def test_timed_out_call_leaves_the_client_usable(raw):
     raw.script.append(Reply(ok_reply("late"), delay=0.5))
-    client = raw_client(raw, timeout_ms=200)
+    client = raw_backend(raw, timeout_ms=200).client
     with pytest.raises(BackendError, match="timed out"):
         client.complete([])
     assert client.complete([]) == DEFAULT_REPLY
@@ -697,7 +619,7 @@ def test_timed_out_call_leaves_the_client_usable(raw):
 
 
 def test_close_releases_the_socket_and_reader_and_may_be_repeated(raw):
-    client = raw_client(raw)
+    client = raw_backend(raw).client
     assert client.complete([]) == DEFAULT_REPLY
     client.close()
     client.close()
@@ -792,9 +714,8 @@ _PROXY_AUTH = {"Proxy-Authorization": "Basic " + base64.b64encode(b"user:p@ss").
 def test_request_bytes_equal_http_client_and_leave_in_one_write(raw, monkeypatch, base_url, proxy,
                                                                  target, headers):
     if proxy:
-        host, port = urlsplit(raw.base_url).netloc.split(":")
-        monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{host}:{port}")
-    client = raw_client(raw, base_url)
+        monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{raw.authority}")
+    client = raw_backend(raw, base_url).client
     sends = record_writes(client, monkeypatch)
     messages = [{"role": "user", "content": "caf\u00e9"}]
     client.complete(messages)
@@ -808,7 +729,8 @@ def test_request_bytes_equal_http_client_and_leave_in_one_write(raw, monkeypatch
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(scheme=st.sampled_from(["http", "https"]), rest=_URL_TEXT, proxied=st.booleans())
 @example(scheme="http", rest="[fe80::1%25eth0]:8080/v1", proxied=False)
-@example(scheme="http", rest="[fe80::1%25eth0]:8080/v1", proxied=True)  # http.client drops the port
+# http.client drops the port from this one Host field; the client keeps it
+@example(scheme="http", rest="[fe80::1%25eth0]:8080/v1", proxied=True)
 @example(scheme="http", rest="Chat.Example:80/v1/", proxied=True)
 @example(scheme="https", rest="\u00e9.example:8443/v1", proxied=True)
 @example(scheme="https", rest="[::1]:443/v1", proxied=False)
@@ -824,9 +746,13 @@ def test_request_bytes_equal_http_client_for_any_accepted_url(http_env, monkeypa
     sends = record_writes(client, monkeypatch, reply=ok_reply())
     assert client.complete([]) == DEFAULT_REPLY
     client.close()
-    [request] = sends
-    request_line, _, rest = request.partition(b"\r\n")
-    target = request_line.removeprefix(b"POST ").removesuffix(b" HTTP/1.1").decode("ascii")
+    [request] = map(parse_request, sends)
+    target = request.target.removeprefix("POST ")
     headers = {**_HEADERS, **(_PROXY_AUTH if proxied and scheme == "http" else {})}
-    body = rest.partition(b"\r\n\r\n")[2]
-    assert request == http_client_bytes(client._conn, target, headers, body)
+    expected = http_client_bytes(client._conn, target, headers, request.body)
+    authority = urlsplit(target).netloc if proxied and scheme == "http" else ""
+    if "%" in authority:
+        # http.client cuts the Host field at a zone id, port and all; the client keeps the port,
+        # as the direct request does
+        expected = expected.replace(b"]\r\n", f"]{authority.rpartition(']')[2]}\r\n".encode(), 1)
+    assert sends == [expected]

@@ -57,6 +57,12 @@ def test_load_scenario_from_file(tmp_path, scenario):
         ({"name": "s", "max_trial": MAX_EPISODE_STEPS // 4 + 1, "tasks": [{"name": "t", "subtasks": ["a"] * 4}]},
          f"above the limit of {MAX_EPISODE_STEPS}"),
         ({"name": "s", "max_trial": 10**17, "tasks": [{"name": "t", "subtasks": ["a"]}]}, f"allows {10**17} steps"),
+        ({"name": "s\ud800", "max_trial": 5, "tasks": [{"name": "t", "subtasks": ["a"]}]},
+         "scenario name must be text that UTF-8 can encode"),
+        ({"name": "s", "max_trial": 5, "tasks": [{"name": "\udfff", "subtasks": ["a"]}]},
+         "task name must be text that UTF-8"),
+        ({"name": "s", "max_trial": 5, "tasks": [{"name": "t", "subtasks": ["a\ud800b"]}]},
+         "subtask name .* must be text that UTF-8"),
     ],
 )
 def test_load_scenario_schema_violations(doc, message):
