@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .config import ConfigError, read_csv, read_float, write_csv
+from .config import (ConfigError, is_number, read_csv, read_float, read_integer, read_number,
+                     require_probability, write_csv)
 from .env import CaregivingEnv
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
@@ -34,8 +35,7 @@ class ConstantEpsilon:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        require_probability(self.epsilon, "epsilon")
 
 
 # Calibrated so exploration has fallen to 0.8 by epoch 300: ln(1.25)/300 = 7.438e-4.
@@ -50,10 +50,10 @@ class ExponentialDecayEpsilon:
     decay_rate: float = DEFAULT_DECAY_RATE
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
+        if not require_probability(self.eps_min, "eps_min") <= require_probability(self.eps_max, "eps_max"):
             raise ConfigError("need 0 <= eps_min <= eps_max <= 1")
-        if not 0.0 < self.decay_rate < math.inf:
-            raise ConfigError(f"decay_rate must be positive and finite, got {self.decay_rate}")
+        if not (is_number(self.decay_rate) and 0.0 < self.decay_rate < math.inf):
+            raise ConfigError(f"decay_rate must be positive and finite, got {self.decay_rate!r}")
 
 
 EpsilonSchedule = Union[ConstantEpsilon, ExponentialDecayEpsilon]
@@ -226,18 +226,17 @@ class TrainingConfig:
     perception_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < read_number(self.alpha, "alpha") <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma < 1.0:
+        if not 0.0 <= read_number(self.gamma, "gamma") < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.epochs < 1 or self.episodes_per_epoch < 1:
-            raise ConfigError("epochs and episodes_per_epoch must be >= 1")
-        if not 1 <= self.snapshot_episode <= self.episodes_per_epoch:
+        read_integer(self.epochs, "epochs", 1)
+        read_integer(self.episodes_per_epoch, "episodes_per_epoch", 1)
+        if read_integer(self.snapshot_episode, "snapshot_episode", 1) > self.episodes_per_epoch:
             raise ConfigError("snapshot_episode must fall inside each epoch")
-        if self.snapshot_rollouts < 0 or self.final_policy_window < 0:
-            raise ConfigError("snapshot_rollouts and final_policy_window must be >= 0")
-        if not 0.0 <= self.perception_noise <= 1.0:
-            raise ConfigError("perception_noise must be in [0, 1]")
+        read_integer(self.snapshot_rollouts, "snapshot_rollouts", 0)
+        read_integer(self.final_policy_window, "final_policy_window", 0)
+        require_probability(self.perception_noise, "perception_noise")
 
 
 @dataclass(frozen=True)

@@ -138,14 +138,15 @@ def read_object(value: Any, where: str, required: Collection[str] = (), optional
     return value
 
 
-def _is_number(value: Any) -> bool:
+def is_number(value: Any) -> bool:
+    """True for an int or a float; a bool is not a number here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_number(value: Any, where: str) -> float:
     """``value`` as a float if it is a finite JSON number; bools and strings are rejected."""
     # the comparisons are false for NaN and the infinities, and exact for any int
-    if not (_is_number(value) and -sys.float_info.max <= value <= sys.float_info.max):
+    if not (is_number(value) and -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
@@ -159,8 +160,17 @@ def read_float(cell: str, where: str) -> float:
     return read_number(value, where)
 
 
+def read_integer(value: Any, where: str, minimum: int) -> int:
+    """``value`` if it is an int of at least ``minimum``; bools, floats and strings are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+
 def require_probability(value: Any, where: str) -> float:
-    if not (_is_number(value) and 0.0 <= value <= 1.0):
+    if not (is_number(value) and 0.0 <= value <= 1.0):
         raise ConfigError(f"{where} must be in [0, 1], got {value!r}")
     return float(value)
 

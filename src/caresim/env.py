@@ -33,8 +33,7 @@ is kept per process: this module remembers the table of the last
 identity, and an environment built on the same two objects shares it and
 starts warm. Building one on any other pair starts a new table and makes
 it the remembered one; environments built earlier keep the table they
-have. The scenario and the weights must therefore not change after the
-first environment is built on them.
+have.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class CaregivingEnv:
         self.model = model
         self.scenario = scenario
         self.weights = weights
-        self._onset_table = model._onset_table
-        self._skip_table = model._skip_table
+        self._onset_table = model.onset
+        self._skip_table = model.skip
         self._rng: random.Random | None = None
         self._end = scenario.max_episode_steps  # the terminal node
         global _shared

@@ -71,10 +71,10 @@ _HEADER_TEXT = re.compile(r"[\x20-\x7e\xa0-\xff]*")  # Latin-1 text, no control 
 def _split_http_url(url: str, what: str):
     """Split an http(s)://host[:port][/path] URL, rejecting anything else.
 
-    Returns the parts and the port to connect to, the scheme's default when
-    the URL names none. ``http.client`` gets that port explicitly: given
-    none, it would re-parse the port out of a bracketless IPv6 host. The
-    request line is ASCII, so the path must be too.
+    Returns the parts, the host's IDNA A-label and the port to connect to,
+    the scheme's default when the URL names none. ``http.client`` gets that
+    port explicitly: given none, it would re-parse the port out of a
+    bracketless IPv6 host. The request line is ASCII, so the path must be too.
     """
     shown = repr(_without_userinfo(url))
     if _CONTROL_OR_SPACE.search(url):
@@ -94,7 +94,7 @@ def _split_http_url(url: str, what: str):
         raise ConfigError(f"{what} host is neither a host name nor an IP literal: {shown}")
     if not parts.path.isascii():
         raise ConfigError(f"{what} path must be ASCII; percent-encode other characters: {shown}")
-    return parts, _DEFAULT_PORTS[parts.scheme] if port is None else port
+    return parts, host, _DEFAULT_PORTS[parts.scheme] if port is None else port
 
 
 def _split_authority(url: str) -> tuple[str, str]:
@@ -252,10 +252,9 @@ class ChatCompletionsClient:
     def __init__(self, config: HttpBackendConfig):
         self.config = config
         self._timeout_s = config.timeout_ms / 1000.0
-        url, port = _split_http_url(config.base_url, "base URL")
         # the request line, the Host field and the CONNECT line are ASCII: a non-ASCII host goes
         # as its IDNA A-label
-        host = url.hostname.encode("idna").decode("ascii")
+        url, host, port = _split_http_url(config.base_url, "base URL")
         bracketed = f"[{host}]" if ":" in host else host
         target = url.path.rstrip("/") + "/chat/completions"
         host_field = _strip_zone(bracketed)
@@ -280,7 +279,7 @@ class ChatCompletionsClient:
                 # a raw '/', '?' or '#' in the password ends the authority early: echo none of it
                 raise ConfigError("proxy URL has an '@' after its host; percent-encode any '/', "
                                   "'?' or '#' in its user name or password")
-            proxy_url, proxy_port = _split_http_url(proxy, "proxy URL")
+            proxy_url, _, proxy_port = _split_http_url(proxy, "proxy URL")
             if proxy_url.scheme != "http":
                 raise ConfigError("only http:// proxies are supported, got "
                                   f"{_without_userinfo(proxy)!r}")

@@ -10,12 +10,11 @@ minimal effective assistance.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from .config import Document, read_number, read_object
 from .scenario import StepEvents
-from .states import ACTIONS, AssistAction, StatusVector
+from .states import ACTIONS, StatusVector
 
 @dataclass(frozen=True)
 class RewardWeights(Document):
@@ -32,8 +31,8 @@ class RewardWeights(Document):
     subtask_skip: float
     extra_timestep: float
     task_complete: float
-    # read-only cost per action, charged on a completing step
-    assist: Mapping[AssistAction, float]
+    # cost per action, indexed by action, charged on a completing step
+    assist: tuple[float, float, float, float]
 
     @classmethod
     def from_dict(cls, doc: Any) -> "RewardWeights":
@@ -41,12 +40,12 @@ class RewardWeights(Document):
         costs = read_object(doc["assist"], "assist", [a.code for a in ACTIONS])
         return cls(
             **{name: read_number(doc[name], name) for name in _WEIGHT_NAMES},
-            assist=MappingProxyType({a: read_number(costs[a.code], f"assist.{a.code}") for a in ACTIONS}),
+            assist=tuple(read_number(costs[a.code], f"assist.{a.code}") for a in ACTIONS),
         )
 
     def to_dict(self) -> dict:
         doc: dict = {name: getattr(self, name) for name in _WEIGHT_NAMES}
-        doc["assist"] = {a.code: v for a, v in self.assist.items()}
+        doc["assist"] = {a.code: self.assist[a] for a in ACTIONS}
         return doc
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .config import ConfigError, Document, read_name, read_object
+from .config import ConfigError, Document, read_integer, read_name, read_object
 from .states import ACTIONS, AssistAction
 
 # bound on max_trial x subtasks: an environment's edge table has 8 slots per step, 64 MiB at the bound
@@ -41,8 +41,7 @@ class ScenarioSpec(Document):
     tasks: tuple[TaskSpec, ...]
 
     def __post_init__(self) -> None:
-        if self.max_trial < 1:
-            raise ConfigError(f"max_trial must be >= 1, got {self.max_trial}")
+        read_integer(self.max_trial, "max_trial", 1)
         if not self.tasks:
             raise ConfigError("scenario must contain at least one task")
         for task in self.tasks:
@@ -76,9 +75,6 @@ class ScenarioSpec(Document):
     def from_dict(cls, doc: Any) -> "ScenarioSpec":
         doc = read_object(doc, "scenario", ("name", "max_trial", "tasks"))
         name = read_name(doc["name"], "scenario name")
-        max_trial = doc["max_trial"]
-        if not isinstance(max_trial, int) or isinstance(max_trial, bool):
-            raise ConfigError(f"max_trial must be an integer, got {max_trial!r}")
         if not isinstance(doc["tasks"], list):
             raise ConfigError("scenario tasks must be a list")
         tasks = []
@@ -89,7 +85,7 @@ class ScenarioSpec(Document):
                 raise ConfigError(f"subtasks of task {task_name!r} must be a list of names")
             subtasks = tuple(read_name(s, f"subtask name in task {task_name!r}") for s in task_doc["subtasks"])
             tasks.append(TaskSpec(task_name, subtasks))
-        return cls(name=name, max_trial=max_trial, tasks=tuple(tasks))
+        return cls(name=name, max_trial=doc["max_trial"], tasks=tuple(tasks))
 
     def to_dict(self) -> dict:
         return {

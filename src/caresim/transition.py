@@ -14,8 +14,11 @@ Per-status transition probabilities come from three layered rules:
    status, clamped to [0, 1].
 
 Increments apply only to onset, never to persistence. A forced subtask
-skip uses its own persistence rules (see SkipRules) and never creates a
-new impairment.
+skip uses its own persistence rules and never creates a new impairment:
+the cognitive pair (forgetfulness, confusion) persists with
+``cognitive_pair`` when both are present and ``cognitive_alone`` when only
+one is, and anger and disengagement each persist with their own flat
+probability.
 
 All sampling is Bernoulli per status, conditionally independent given the
 current vector, and goes through ``states.sample_index``: exactly 4 rng
@@ -25,81 +28,57 @@ Sampled vectors are the shared ``ALL_STATES`` instances, never fresh objects.
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import asdict, dataclass, field
-from types import MappingProxyType
-from typing import Any, Collection, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Collection
 
 from .config import Document, read_object, require_probability
 from .states import ACTIONS, ALL_STATES, STATUS_NAMES, AssistAction, StatusVector, sample_index
-
-_FORGETFUL, _CONFUSED, _ANGRY, _DISENGAGED = range(4)
-
-
-@dataclass(frozen=True)
-class AssistOverride:
-    """Persistence/onset pair replacing the default rule for one status."""
-
-    persist_prob: float
-    onset_prob: float
-
-
-@dataclass(frozen=True)
-class SkipRules:
-    """Post-skip persistence probabilities.
-
-    The cognitive pair (forgetfulness, confusion) persists with
-    ``cognitive_pair`` when both are present and ``cognitive_alone`` when
-    only one is. Anger and disengagement each persist with their own flat
-    probability. Absent statuses never turn on during a skip.
-    """
-
-    cognitive_pair: float
-    cognitive_alone: float
-    angry: float
-    disengaged: float
 
 
 def _read_probabilities(
     value: Any, where: str, required: Collection[str] = (), optional: Collection[str] = ()
 ) -> dict[str, float]:
+    """The probabilities of an object, in the order of ``required`` and then ``optional``."""
     doc = read_object(value, where, required, optional)
-    return {key: require_probability(p, f"{where}.{key}") for key, p in doc.items()}
+    return {key: require_probability(doc[key], f"{where}.{key}") for key in (*required, *optional) if key in doc}
 
 
 @dataclass(frozen=True)
 class TransitionModel(Document):
+    """The dynamics as one canonical document, with the tables derived from it.
+
+    ``document`` is the compact JSON text that ``from_dict`` builds from a
+    checked document: every probability a float, the statuses and actions
+    in their fixed order, and only the nonzero influences. Equal documents
+    therefore make equal models with equal hashes.
+    """
+
     _packaged = "transition_model.json"
 
-    base_onset: tuple[float, float, float, float]
-    persistence: tuple[float, float, float, float]
-    # influence[src][dst]: onset increment for dst while src is present; diagonal unused
-    influence: tuple[tuple[float, float, float, float], ...]
-    # read-only at both levels
-    assist_overrides: Mapping[AssistAction, Mapping[int, AssistOverride]]
-    skip_rules: SkipRules
-    # per (state index, action, status) probabilities, derived once from the rules
-    _onset_table: tuple = field(init=False, repr=False, compare=False)
-    _skip_table: tuple = field(init=False, repr=False, compare=False)
+    document: str
+    # onset[state index][action][status]: P(status present after the step), by the layered rules
+    onset: tuple[tuple[tuple[float, ...], ...], ...] = field(init=False, repr=False, compare=False)
+    # skip[state index][status]: P(status present after a forced skip)
+    skip: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a later edit of the caller's dicts must not make the overrides disagree with the tables
-        overrides = MappingProxyType({action: MappingProxyType(dict(per_status))
-                                      for action, per_status in self.assist_overrides.items()})
-        object.__setattr__(self, "assist_overrides", overrides)
+        doc = self.to_dict()
+        overrides = [doc["assist_overrides"].get(action.code, {}) for action in ACTIONS]
         onset = tuple(
             tuple(
-                tuple(_onset_rule(self, state, action, status) for status in range(4))
-                for action in ACTIONS
+                tuple(_onset_rule(doc, per_status, state, status) for status in range(4))
+                for per_status in overrides
             )
             for state in ALL_STATES
         )
         skip = tuple(
-            tuple(_skip_rule(self.skip_rules, state, status) for status in range(4))
+            tuple(_skip_rule(doc["skip_persistence"], state, status) for status in range(4))
             for state in ALL_STATES
         )
-        object.__setattr__(self, "_onset_table", onset)
-        object.__setattr__(self, "_skip_table", skip)
+        object.__setattr__(self, "onset", onset)
+        object.__setattr__(self, "skip", skip)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "TransitionModel":
@@ -111,77 +90,54 @@ class TransitionModel(Document):
         )
         base = _read_probabilities(doc["base_onset"], "base_onset", STATUS_NAMES)
         persistence = _read_probabilities(doc["persistence"], "persistence", STATUS_NAMES)
-        influence = read_object(doc.get("influence", {}), "influence", optional=STATUS_NAMES)
-        influence_rows = []
+        influence_doc = read_object(doc.get("influence", {}), "influence", optional=STATUS_NAMES)
+        influence = {}
         for src in STATUS_NAMES:
             others = [dst for dst in STATUS_NAMES if dst != src]
-            row = _read_probabilities(influence.get(src, {}), f"influence.{src}", optional=others)
-            influence_rows.append(tuple(row.get(dst, 0.0) for dst in STATUS_NAMES))
+            row = _read_probabilities(influence_doc.get(src, {}), f"influence.{src}", optional=others)
+            influence[src] = {dst: p for dst, p in row.items() if p}
         overrides_doc = read_object(
             doc.get("assist_overrides", {}), "assist_overrides", optional=[a.code for a in ACTIONS]
         )
         overrides = {}
-        for code, per_status in overrides_doc.items():
-            overrides[AssistAction.from_code(code)] = per_action = {}
-            for name, pair in read_object(per_status, f"assist_overrides.{code}", optional=STATUS_NAMES).items():
-                pair = _read_probabilities(pair, f"assist_overrides.{code}.{name}", ("persist", "onset"))
-                per_action[STATUS_NAMES.index(name)] = AssistOverride(pair["persist"], pair["onset"])
+        for code in [a.code for a in ACTIONS if a.code in overrides_doc]:
+            per_status = read_object(overrides_doc[code], f"assist_overrides.{code}", optional=STATUS_NAMES)
+            overrides[code] = {
+                name: _read_probabilities(per_status[name], f"assist_overrides.{code}.{name}", ("persist", "onset"))
+                for name in STATUS_NAMES if name in per_status
+            }
         skip = _read_probabilities(
             doc["skip_persistence"], "skip_persistence", ("cognitive_pair", "cognitive_alone", "angry", "disengaged")
         )
-        return cls(
-            base_onset=tuple(base[name] for name in STATUS_NAMES),
-            persistence=tuple(persistence[name] for name in STATUS_NAMES),
-            influence=tuple(influence_rows),
-            assist_overrides=overrides,
-            skip_rules=SkipRules(**skip),
-        )
+        canonical = {"base_onset": base, "persistence": persistence, "influence": influence,
+                     "assist_overrides": overrides, "skip_persistence": skip}
+        return cls(json.dumps(canonical, separators=(",", ":")))
 
     def to_dict(self) -> dict:
-        return {
-            "base_onset": dict(zip(STATUS_NAMES, self.base_onset)),
-            "persistence": dict(zip(STATUS_NAMES, self.persistence)),
-            "influence": {
-                src: {dst: self.influence[i][j] for j, dst in enumerate(STATUS_NAMES) if j != i and self.influence[i][j]}
-                for i, src in enumerate(STATUS_NAMES)
-            },
-            "assist_overrides": {
-                action.code: {
-                    STATUS_NAMES[status]: {"persist": o.persist_prob, "onset": o.onset_prob}
-                    for status, o in per_status.items()
-                }
-                for action, per_status in self.assist_overrides.items()
-            },
-            "skip_persistence": asdict(self.skip_rules),
-        }
+        return json.loads(self.document)
 
 
-def _onset_rule(
-    model: TransitionModel, current: StatusVector, assist: AssistAction, status: int
-) -> float:
-    """The layered probability rule; the source of truth for the tables."""
-    override = model.assist_overrides.get(assist, {}).get(status)
+def _onset_rule(doc: dict, overrides: dict, current: StatusVector, status: int) -> float:
+    """The layered rule under an action's ``overrides``; the source of truth for the onset table."""
+    name = STATUS_NAMES[status]
+    override = overrides.get(name)
     if override is not None:
-        return override.persist_prob if current[status] else override.onset_prob
+        return override["persist" if current[status] else "onset"]
     if current[status]:
-        return model.persistence[status]
-    total = model.base_onset[status]
-    for other in range(4):
+        return doc["persistence"][name]
+    total = doc["base_onset"][name]
+    for other, src in enumerate(STATUS_NAMES):
         if other != status and current[other]:
-            total += model.influence[other][status]
+            total += doc["influence"][src].get(name, 0.0)
     return min(max(total, 0.0), 1.0)
 
 
-def _skip_rule(rules: SkipRules, current: StatusVector, status: int) -> float:
+def _skip_rule(rules: dict, current: StatusVector, status: int) -> float:
     if not current[status]:
         return 0.0
-    if status == _FORGETFUL:
-        return rules.cognitive_pair if current.confused else rules.cognitive_alone
-    if status == _CONFUSED:
-        return rules.cognitive_pair if current.forgetful else rules.cognitive_alone
-    if status == _ANGRY:
-        return rules.angry
-    return rules.disengaged
+    if STATUS_NAMES[status] in rules:  # anger and disengagement
+        return rules[STATUS_NAMES[status]]
+    return rules["cognitive_pair" if current.forgetful and current.confused else "cognitive_alone"]
 
 
 def onset_probability(
@@ -192,12 +148,11 @@ def onset_probability(
         status = STATUS_NAMES.index(target)
     except ValueError:
         raise ValueError(f"unknown status: {target!r} (expected one of {STATUS_NAMES})") from None
-    return model._onset_table[current.index][assist][status]
+    return model.onset[current.index][assist][status]
 
 
 def transition(
     model: TransitionModel, current: StatusVector, assist: AssistAction, rng: random.Random
 ) -> StatusVector:
     """Sample the next status vector. Consumes exactly 4 rng draws."""
-    return ALL_STATES[sample_index(model._onset_table[current.index][assist], rng)]
-
+    return ALL_STATES[sample_index(model.onset[current.index][assist], rng)]

@@ -62,11 +62,26 @@ def test_constant_schedule():
     assert epsilon_at(ConstantEpsilon(0.1), 5999) == 0.1
 
 
-def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        ConstantEpsilon(1.5)
-    with pytest.raises(ConfigError):
-        ExponentialDecayEpsilon(eps_min=0.5, eps_max=0.1)
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ConstantEpsilon(1.5), "epsilon must be in"),
+        (lambda: ConstantEpsilon(True), "epsilon must be in .*got True"),
+        (lambda: ConstantEpsilon("0.5"), "epsilon must be in .*got '0.5'"),
+        (lambda: ExponentialDecayEpsilon(eps_min=0.5, eps_max=0.1), "need 0 <= eps_min <= eps_max <= 1"),
+        (lambda: ExponentialDecayEpsilon(eps_min=True), "eps_min must be in .*got True"),
+        (lambda: ExponentialDecayEpsilon(eps_max=None), "eps_max must be in .*got None"),
+        (lambda: ExponentialDecayEpsilon(decay_rate=True), "decay_rate must be positive and finite, got True"),
+        (lambda: ExponentialDecayEpsilon(decay_rate="0.01"), "decay_rate must be positive and finite, got '0.01'"),
+        (lambda: ExponentialDecayEpsilon(decay_rate=0.0), "decay_rate must be positive and finite"),
+    ],
+)
+def test_schedule_validation(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+def test_epsilon_at_rejects_negative_epoch():
     with pytest.raises(ValueError):
         epsilon_at(ConstantEpsilon(0.1), -1)
 
@@ -304,10 +319,24 @@ def test_train_with_perception_noise_differs_and_is_deterministic(model, scenari
     assert qn1 != qc
 
 
-def test_training_config_validation(model, scenario, weights):
-    with pytest.raises(ConfigError):
-        small_config(model, scenario, weights, alpha=0.0)
-    with pytest.raises(ConfigError):
-        small_config(model, scenario, weights, gamma=1.0)
-    with pytest.raises(ConfigError):
-        small_config(model, scenario, weights, snapshot_episode=50)
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(alpha=0.0), "alpha must be in"),
+        (dict(alpha=True), "alpha must be a finite number, got True"),
+        (dict(gamma=1.0), "gamma must be in"),
+        (dict(gamma="0.9"), "gamma must be a finite number"),
+        (dict(snapshot_episode=50), "snapshot_episode must fall inside each epoch"),
+        (dict(snapshot_episode=0), "snapshot_episode must be >= 1"),
+        (dict(epochs=0), "epochs must be >= 1"),
+        (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+        (dict(episodes_per_epoch=True), "episodes_per_epoch must be an integer"),
+        (dict(snapshot_rollouts=1.5), "snapshot_rollouts must be an integer, got 1.5"),
+        (dict(final_policy_window=-1), "final_policy_window must be >= 0"),
+        (dict(perception_noise=True), "perception_noise must be in .*got True"),
+        (dict(perception_noise=1.5), "perception_noise must be in"),
+    ],
+)
+def test_training_config_validation(model, scenario, weights, overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        small_config(model, scenario, weights, **overrides)

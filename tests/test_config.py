@@ -25,6 +25,14 @@ def test_default_is_one_shared_instance_of_its_own_class(cls):
 
 
 @pytest.mark.parametrize("cls", DOCUMENTS)
+def test_equal_documents_make_equal_and_equally_hashed_values(cls):
+    rebuilt = cls.from_dict(cls.default().to_dict())
+    assert rebuilt is not cls.default()
+    assert rebuilt == cls.default() and hash(rebuilt) == hash(cls.default())
+    assert len({rebuilt, cls.default()}) == 1
+
+
+@pytest.mark.parametrize("cls", DOCUMENTS)
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read config file"), (b'{"name": "\xff"}', "cannot read config file"), (b"{", "invalid JSON in")],

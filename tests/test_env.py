@@ -1,10 +1,11 @@
 """CaregivingEnv.step against a reference stepper written from the README rules.
 
-The reference recomputes every probability from the raw model parameters
-and the reward from the weights on each step, builds fresh values, and
-draws from its own rng; the environment must agree with it on every
-field of every step and leave its rng in the same state, which pins the
-draw accounting (4 draws per step, 8 when a forced skip fires).
+The reference recomputes every probability from the raw model parameters,
+which it reads from ``model.to_dict()`` once per stepper, and the reward
+from the weights on each step, builds fresh values, and draws from its
+own rng; the environment must agree with it on every field of every step
+and leave its rng in the same state, which pins the draw accounting (4
+draws per step, 8 when a forced skip fires).
 """
 
 from __future__ import annotations
@@ -70,15 +71,17 @@ def reward_weights(draw) -> RewardWeights:
 policies = st.lists(st.sampled_from(ACTIONS), min_size=16, max_size=16).map(lambda a: Policy(tuple(a)))
 
 
-def reference_onset(model, state, action, status):
-    """Override, else persistence, else base onset plus clamped influences."""
-    override = model.assist_overrides.get(action, {}).get(status)
+def reference_onset(doc, state, action, status):
+    """Override, else persistence, else base onset plus clamped influences, read from the raw document."""
+    name = STATUS_NAMES[status]
+    override = doc["assist_overrides"].get(action.code, {}).get(name)
     if override is not None:
-        return override.persist_prob if state[status] else override.onset_prob
+        return override["persist"] if state[status] else override["onset"]
     if state[status]:
-        return model.persistence[status]
-    onset = model.base_onset[status] + sum(model.influence[other][status] for other in range(4)
-                                           if other != status and state[other])
+        return doc["persistence"][name]
+    onset = doc["base_onset"][name] + sum(doc["influence"][src].get(name, 0.0)
+                                          for other, src in enumerate(STATUS_NAMES)
+                                          if other != status and state[other])
     return min(1.0, max(0.0, onset))
 
 
@@ -88,8 +91,8 @@ def reference_skip_persistence(rules, state, status):
         return 0.0
     if status in (FORGETFUL, CONFUSED):
         both = state[FORGETFUL] and state[CONFUSED]
-        return rules.cognitive_pair if both else rules.cognitive_alone
-    return rules.angry if status == ANGRY else rules.disengaged
+        return rules["cognitive_pair"] if both else rules["cognitive_alone"]
+    return rules["angry"] if status == ANGRY else rules["disengaged"]
 
 
 def sample(probs, rng):
@@ -98,14 +101,14 @@ def sample(probs, rng):
 
 class ReferenceStepper:
     def __init__(self, model, scenario, weights, rng):
-        self.model, self.scenario, self.weights, self.rng = model, scenario, weights, rng
+        self.doc, self.scenario, self.weights, self.rng = model.to_dict(), scenario, weights, rng
         self.state = (0, 0, 0, 0)
         self.task = self.subtask = self.trial = self.timestep = 0
         self.terminal = False
 
     def step(self, action):
-        model, scenario, weights = self.model, self.scenario, self.weights
-        post = sample([reference_onset(model, self.state, action, s) for s in range(4)], self.rng)
+        doc, scenario, weights = self.doc, self.scenario, self.weights
+        post = sample([reference_onset(doc, self.state, action, s) for s in range(4)], self.rng)
         self.trial += 1
         self.timestep += 1
         completed = post == (0, 0, 0, 0)
@@ -120,7 +123,7 @@ class ReferenceStepper:
                 self.subtask = 0
                 self.terminal = self.task == len(scenario.tasks)
         if skipped:
-            post = sample([reference_skip_persistence(model.skip_rules, post, s) for s in range(4)], self.rng)
+            post = sample([reference_skip_persistence(doc["skip_persistence"], post, s) for s in range(4)], self.rng)
         reward = (
             sum(w * bit for w, bit in zip((weights.forgetful, weights.confused, weights.angry,
                                            weights.disengaged), post))

@@ -82,3 +82,16 @@ def test_only_config_touches_files():
     in_config = {name for module, _, name in calls if module == "config.py"}
     assert {".open", ".read_bytes"} <= in_config  # the scan sees config's own I/O (os.open, Path.read_bytes)
     assert {call for call in calls if call[0] != "config.py"} == set()
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    # a single-underscore attribute is read only through ``self`` or ``cls``; dunders are public protocol
+    reads = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(Path(caresim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert reads == []

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
 from caresim import AssistAction, ConfigError, StatusVector, TransitionModel
 from caresim.states import ALL_STATES, STATUS_NAMES, sample_index
-from caresim.transition import AssistOverride, onset_probability, transition
+from caresim.transition import onset_probability, transition
 
 A0, A1, A2, A3 = AssistAction
 
@@ -140,40 +139,40 @@ def test_transition_empirical_frequency_smoke(model):
         (StatusVector(1, 1, 1, 1), (0.5, 0.5, 0.5, 0.5)),
     ],
 )
-def test_step_skip_probabilities(model, state, expected):
-    assert model._skip_table[state.index] == expected
+def test_skip_table_probabilities(model, state, expected):
+    assert model.skip[state.index] == expected
 
 
-def test_step_skip_never_creates_new_impairment(model):
+def test_skip_table_never_creates_new_impairment(model):
     rng = random.Random(23)
     for state in ALL_STATES:
         for _ in range(50):
-            nxt = ALL_STATES[sample_index(model._skip_table[state.index], rng)]
+            nxt = ALL_STATES[sample_index(model.skip[state.index], rng)]
             for j in range(4):
                 assert nxt[j] <= state[j]
 
 
-def test_step_skip_clears_all_clear_state(model):
+def test_skip_table_clears_all_clear_state(model):
     rng = random.Random(1)
-    assert sample_index(model._skip_table[0], rng) == 0
+    assert sample_index(model.skip[0], rng) == 0
 
 
-def test_step_skip_consumes_exactly_four_draws(model):
+def test_skip_table_consumes_exactly_four_draws(model):
     rng = random.Random(8)
-    sample_index(model._skip_table[StatusVector(1, 1, 1, 1).index], rng)
+    sample_index(model.skip[StatusVector(1, 1, 1, 1).index], rng)
     reference = random.Random(8)
     for _ in range(4):
         reference.random()
     assert rng.random() == reference.random()
 
 
-def test_step_skip_empirical_frequencies(model):
+def test_skip_table_empirical_frequencies(model):
     rng = random.Random(31)
     n = 40000
     forgetful_hits = 0
     disengaged_hits = 0
     for _ in range(n):
-        nxt = ALL_STATES[sample_index(model._skip_table[StatusVector(1, 0, 0, 1).index], rng)]
+        nxt = ALL_STATES[sample_index(model.skip[StatusVector(1, 0, 0, 1).index], rng)]
         forgetful_hits += nxt.forgetful
         disengaged_hits += nxt.disengaged
     assert forgetful_hits / n == pytest.approx(0.2, abs=0.01)
@@ -184,8 +183,8 @@ def test_config_round_trip(model, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
     loaded = TransitionModel.from_file(path)
-    assert loaded._onset_table == model._onset_table
-    assert loaded._skip_table == model._skip_table
+    assert loaded.onset == model.onset
+    assert loaded.skip == model.skip
 
 
 def test_config_rejects_unknown_fields(tmp_path):
@@ -240,29 +239,47 @@ def test_config_sparse_maps_are_optional():
     doc = TransitionModel.default().to_dict()
     del doc["influence"], doc["assist_overrides"]
     model = TransitionModel.from_dict(doc)
-    assert model.influence == ((0.0,) * 4,) * 4
-    assert model.assist_overrides == {}
+    assert model.to_dict()["influence"] == {name: {} for name in STATUS_NAMES}
+    assert model.to_dict()["assist_overrides"] == {}
     assert onset_probability(model, StatusVector(0, 0, 1, 0), A1, "angry") == 1.0
 
 
-def test_defaults_are_one_shared_read_only_instance_each():
+def test_editing_a_to_dict_result_leaves_the_model_unchanged():
     # that each default() is one shared instance is checked per class in test_config.py
     model = TransitionModel.default()
-    with pytest.raises(TypeError):
-        model.assist_overrides[A0] = {}
-    with pytest.raises(TypeError):
-        model.assist_overrides[A1][STATUS_NAMES.index("angry")] = AssistOverride(0.0, 0.0)
+    onset, skip, before = model.onset, model.skip, model.to_dict()
+    doc = model.to_dict()
+    doc["assist_overrides"]["a1"]["angry"]["persist"] = 1.0
+    doc["skip_persistence"]["angry"] = 1.0
+    del doc["assist_overrides"]["a2"]
+    assert model.to_dict() == before != doc
+    assert onset_probability(model, StatusVector(0, 0, 1, 0), A1, "angry") == 0.05
     rebuilt = TransitionModel.from_dict(model.to_dict())
     assert rebuilt == model and rebuilt is not model
-    assert rebuilt.to_dict() == model.to_dict()
+    assert (rebuilt.onset, rebuilt.skip) == (onset, skip)
 
 
-def test_overrides_are_copied_from_the_mappings_given():
-    given = {A1: {2: AssistOverride(1.0, 1.0)}}
-    model = replace(TransitionModel.default(), assist_overrides=given)
-    given[A1][2] = AssistOverride(0.0, 0.0)
-    assert model.assist_overrides == {A1: {2: AssistOverride(1.0, 1.0)}}
-    assert onset_probability(model, StatusVector(0, 0, 0, 0), A1, "angry") == 1.0
+def test_editing_the_dict_given_to_from_dict_leaves_the_model_unchanged():
+    default = TransitionModel.default()
+    given = default.to_dict()
+    model = TransitionModel.from_dict(given)
+    given["assist_overrides"]["a1"]["angry"]["persist"] = 1.0
+    given["base_onset"]["forgetful"] = 1.0
+    given["skip_persistence"]["cognitive_pair"] = 1.0
+    assert model.to_dict() == default.to_dict()
+    assert (model.onset, model.skip) == (default.onset, default.skip)
+    assert onset_probability(model, StatusVector(0, 0, 1, 0), A1, "angry") == 0.05
+
+
+def test_key_order_does_not_change_the_model():
+    doc = TransitionModel.default().to_dict()
+    reordered = {key: doc[key] for key in reversed(doc)}
+    reordered["base_onset"] = dict(reversed(doc["base_onset"].items()))
+    reordered["assist_overrides"] = {code: dict(reversed(per_status.items()))
+                                     for code, per_status in reversed(doc["assist_overrides"].items())}
+    model = TransitionModel.from_dict(reordered)
+    assert model == TransitionModel.default() and hash(model) == hash(TransitionModel.default())
+    assert json.dumps(model.to_dict()) == json.dumps(doc)
 
 
 def test_config_rejects_non_object_document(tmp_path):
