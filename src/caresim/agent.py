@@ -230,6 +230,7 @@ class TrainingConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= read_number(self.gamma, "gamma") < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
+        read_integer(self.seed, "seed")
         read_integer(self.epochs, "epochs", 1)
         read_integer(self.episodes_per_epoch, "episodes_per_epoch", 1)
         if read_integer(self.snapshot_episode, "snapshot_episode", 1) > self.episodes_per_epoch:

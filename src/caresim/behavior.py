@@ -5,8 +5,12 @@ Two interchangeable backends drive the three operations. The template
 backend is a pure function of its inputs: phrases come from per-status
 banks, picked by a stable checksum of the interaction coordinates, and
 every narration embeds a machine-readable state marker so perception can
-be exact. The HTTP backend (see llm.py) assembles structured
-chat-completion prompts from the builders in this module.
+be exact. ``_pick`` memoises each pick on (bank, coordinates) in a
+bounded cache. One session seldom repeats its coordinates, but later
+sessions in the same process repeat those of earlier ones, so each is
+joined and checksummed once per process. The HTTP backend (see llm.py)
+assembles structured chat-completion prompts from the builders in this
+module.
 
 Perception noise is explicit: each perceived bit flips independently with
 the configured probability, which emulates caregiver misreading without
@@ -24,6 +28,7 @@ import re
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .states import ALL_STATES, STATUS_NAMES, AssistAction, StatusVector, flip_index
 
@@ -189,9 +194,12 @@ _ASSIST_UTTERANCES = {
 }
 
 
+# bounded, as the coordinates grow with the scenarios a process runs: 200 sessions of the
+# shipped scenario reach 932. typed, as 1, 1.0 and True are one key but three texts
+@lru_cache(maxsize=4096, typed=True)
 def _pick(bank: tuple[str, ...], *keys: object) -> str:
     """Stable bank selection: a crc32 of the coordinates, not a random draw."""
-    digest = zlib.crc32("|".join(str(k) for k in keys).encode("utf-8"))
+    digest = zlib.crc32("|".join(map(str, keys)).encode("utf-8"))
     return bank[digest % len(bank)]
 
 

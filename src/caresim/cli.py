@@ -88,7 +88,9 @@ def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: d
 
     An output path that is a directory is an error, and the directories that
     will hold the outputs are created, so no manifest is left by a run that
-    could not write its outputs there.
+    could not write its outputs there. The manifest text is
+    ``json.dumps(manifest, indent=2)`` and a newline; each document's part of
+    it is the text the document rendered on first use (``indented_json``).
     """
     for name, path in outputs.items():
         if Path(path).is_dir():
@@ -100,8 +102,8 @@ def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: d
         "command": command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": {**resolved, "transition_model": model.to_dict(), "scenario": scenario.to_dict(),
-                   "reward_weights": weights.to_dict()},
+        "config": {**resolved, "transition_model": model.indented_json, "scenario": scenario.indented_json,
+                   "reward_weights": weights.indented_json},
         "outputs": outputs,
     })
 

@@ -3,6 +3,8 @@
 Every input file is read by ``read_bytes`` and decoded by ``read_text``.
 Every artifact is written by ``write_text``: ``write_csv`` and ``write_json``
 render their text and hand it to it, and the transcript goes to it directly.
+``write_json`` renders through ``render_json``, which splices in ``JsonText``
+that a document has already rendered (``Document.indented_json``).
 Every value is checked where it is read and never coerced: a string, a boolean
 or a non-finite number where a number belongs is an error.
 """
@@ -15,7 +17,7 @@ import json
 import os
 import stat
 import sys
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Collection, Iterable
@@ -95,9 +97,35 @@ def write_csv(path: str | Path, rows: Iterable[Iterable], lineterminator: str) -
     write_text(path, buffer.getvalue())
 
 
+class JsonText(str):
+    """JSON text exactly as ``json.dumps(value, indent=2)`` renders some value."""
+
+
+def render_json(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, as it reads nested ``depth`` levels deep in a document.
+
+    A ``JsonText`` that is ``value`` itself or a dict value at any depth
+    stands for the value it was rendered from, and is spliced in as it is
+    instead of being encoded again. Dict keys must be strings. A JSON
+    string holds no raw newline, so re-indenting text is replacing each
+    newline.
+    """
+    if isinstance(value, JsonText):
+        text: str = value
+    elif isinstance(value, dict) and value:
+        pad = "\n" + "  " * (depth + 1)
+        entries = [f"{pad}{json.dumps(key)}: {render_json(item, depth + 1)}" for key, item in value.items()]
+        return "{" + ",".join(entries) + pad[:-2] + "}"
+    elif isinstance(value, (dict, list, tuple)):
+        text = json.dumps(value, indent=2)
+    else:
+        return json.dumps(value)  # a scalar reads the same at every depth
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
 def write_json(path: str | Path, doc: Any) -> None:
-    """Write a JSON artifact, indented by 2 and ending in a newline."""
-    write_text(path, json.dumps(doc, indent=2) + "\n")
+    """Write a JSON artifact: ``json.dumps(doc, indent=2)`` and a newline, rendered by ``render_json``."""
+    write_text(path, render_json(doc) + "\n")
 
 
 class Document:
@@ -123,6 +151,17 @@ class Document:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(doc)
+
+    @cached_property
+    def indented_json(self) -> JsonText:
+        """``json.dumps(self.to_dict(), indent=2)``, rendered on first use and kept by this value.
+
+        Documents are immutable, so the text cannot go stale. Every manifest
+        records the three documents of its run; the text is rendered once per
+        document object, so only a process that writes several manifests from
+        one object (repeated ``main`` calls on the shipped defaults) saves work.
+        """
+        return JsonText(json.dumps(self.to_dict(), indent=2))
 
 
 def read_object(value: Any, where: str, required: Collection[str] = (), optional: Collection[str] = ()) -> dict:
@@ -160,11 +199,11 @@ def read_float(cell: str, where: str) -> float:
     return read_number(value, where)
 
 
-def read_integer(value: Any, where: str, minimum: int) -> int:
-    """``value`` if it is an int of at least ``minimum``; bools, floats and strings are rejected."""
+def read_integer(value: Any, where: str, minimum: int | None = None) -> int:
+    """``value`` if it is an int, of at least ``minimum`` if one is given; bools, floats and strings are rejected."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
     return value
 

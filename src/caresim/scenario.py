@@ -17,6 +17,7 @@ order of the progression. Only ``ScenarioSpec.position`` reads the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, NamedTuple
 
 from .config import ConfigError, Document, read_integer, read_name, read_object
@@ -55,9 +56,9 @@ class ScenarioSpec(Document):
     def total_subtasks(self) -> int:
         return sum(len(task.subtasks) for task in self.tasks)
 
-    @property
+    @cached_property
     def max_episode_steps(self) -> int:
-        """Hard upper bound on episode length: every subtask runs to a skip."""
+        """Hard upper bound on episode length: every subtask runs to a skip. Computed once per value."""
         return self.max_trial * self.total_subtasks
 
     def position(self, node: int) -> tuple[int, int, int]:

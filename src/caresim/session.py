@@ -9,6 +9,11 @@ and a fixed seed it is byte-identical across runs.
 
 Random draws per timestep: 4 for perception (when an rng-backed perceive
 runs), 4 for the transition, plus 4 more on a forced skip.
+
+The fixed parts of the transcript are built once, at import: the
+``[f,c,a,d]`` fragment of each state (``_BITS``, by state index) and the
+``Action:`` line of each action (``_ACTION_LINES``). ``_one_line`` returns
+single-line printable text stripped, without splitting it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .agent import Policy
 from .behavior import InteractionContext, PromptVariant, narrate, perceive, render_assist
 from .env import CaregivingEnv
 from .seeding import spawn_rng
-from .states import StatusVector
+from .states import ACTIONS, ALL_STATES
 
 
 @dataclass
@@ -29,12 +34,15 @@ class SessionResult:
     timesteps: int
 
 
-def _bits(state: StatusVector) -> str:
-    return f"[{state.forgetful},{state.confused},{state.angry},{state.disengaged}]"
+_BITS = tuple(f"[{s.forgetful},{s.confused},{s.angry},{s.disengaged}]" for s in ALL_STATES)
+_ACTION_LINES = tuple(f"Action: {action.code} {action.label}" for action in ACTIONS)
 
 
 def _one_line(text: str) -> str:
-    return " / ".join(part.strip() for part in text.splitlines() if part.strip()) if text else ""
+    """``text``'s stripped non-blank lines, joined by " / "."""
+    if text.isprintable():  # every line boundary of str.splitlines is unprintable, so this is one line
+        return text.strip()
+    return " / ".join(part.strip() for part in text.splitlines() if part.strip())
 
 
 def run_session(
@@ -74,8 +82,9 @@ def run_session(
         action = policy(decision_state.index)
         utterance = render_assist(action, ctx, variant, state, backend=backend)
         ctx.latest_assistance = utterance
+        robot = _one_line(utterance)
         if utterance:
-            ctx.history.append(("Caregiver", _one_line(utterance)))
+            ctx.history.append(("Caregiver", robot))
 
         step = env.step(action)
         total += step.reward
@@ -83,11 +92,11 @@ def run_session(
         lines.extend(
             [
                 f"=== Timestep {timestep} ===",
-                f"TrueState: {_bits(state)}",
+                f"TrueState: {_BITS[state.index]}",
                 f"PLWD: {_one_line(behavior.nonverbal)} | {_one_line(behavior.verbal)}",
-                f"Perceived: {_bits(perceived.state)}",
-                f"Action: {action.code} {action.label}",
-                f"Robot: {_one_line(utterance)}",
+                f"Perceived: {_BITS[perceived.state.index]}",
+                _ACTION_LINES[action],
+                f"Robot: {robot}",
                 f"Reward: {step.reward:g}",
                 f"Progress: task {task_index + 1} subtask {subtask_index + 1} trial {trial + 1}"
                 + (" [completed]" if step.events.subtask_completed else "")

@@ -335,8 +335,15 @@ def test_train_with_perception_noise_differs_and_is_deterministic(model, scenari
         (dict(final_policy_window=-1), "final_policy_window must be >= 0"),
         (dict(perception_noise=True), "perception_noise must be in .*got True"),
         (dict(perception_noise=1.5), "perception_noise must be in"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed="1"), "seed must be an integer, got '1'"),
     ],
 )
 def test_training_config_validation(model, scenario, weights, overrides, message):
     with pytest.raises(ConfigError, match=message):
         small_config(model, scenario, weights, **overrides)
+
+
+def test_a_negative_seed_is_valid(model, scenario, weights):
+    assert small_config(model, scenario, weights, seed=-1).seed == -1

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caresim import AssistAction, StatusVector, TemplateBackend, narrate, perceive
 from caresim.behavior import (
@@ -13,6 +16,7 @@ from caresim.behavior import (
     BehaviorText,
     InteractionContext,
     PromptVariant,
+    _pick,
     add_perception_noise,
     build_assist_messages,
     build_narrate_messages,
@@ -213,3 +217,19 @@ def test_assist_prompt_variants(ctx):
         assert "state vector" not in body
         assert "a2" in body
         assert "What was I looking for?" in body
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # names are text UTF-8 can encode
+
+
+def _reference_pick(bank: tuple[str, ...], *keys: object) -> str:
+    return bank[zlib.crc32("|".join(str(k) for k in keys).encode("utf-8")) % len(bank)]
+
+
+@given(st.lists(_TEXT, min_size=1, max_size=4).map(tuple),
+       st.lists(_TEXT | st.integers() | st.booleans() | st.floats(allow_nan=False), max_size=6))
+def test_pick_is_the_crc32_of_the_joined_coordinates_on_every_call(bank, keys):
+    # 1, 1.0 and True are equal as keys but differ as text, so the memo must keep them apart
+    as_floats = [float(k) if type(k) is int else k for k in keys]
+    for coordinates in (keys, as_floats, keys, as_floats):
+        assert _pick(bank, *coordinates) == _reference_pick(bank, *coordinates)

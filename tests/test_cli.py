@@ -599,6 +599,64 @@ def test_a_model_file_is_read_afresh_on_every_call(tmp_path):
         assert config["transition_model"]["base_onset"]["angry"] == angry
 
 
+def test_each_call_records_the_scenario_file_it_read(tmp_path):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    docs = [{**ScenarioSpec.default().to_dict(), "name": name} for name in ("first", "second", "first")]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"scenario{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / str(i)
+        assert main(["simulate", "--policy", str(policy), "--scenario", str(path), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["scenario"] == doc
+
+
+# non-ASCII text, a quote and a backslash: JSON escapes each of them
+ODD_NAME = 'Café "Ω" \\ 買い物'
+
+
+def _odd_documents(folder: Path) -> tuple[list[str], tuple[dict, dict, dict]]:
+    """Model, scenario and weights files that differ from the shipped ones, under ``ODD_NAME`` names."""
+    model = TransitionModel.default().to_dict()
+    model["base_onset"]["angry"] = 0.07
+    scenario = {"name": ODD_NAME, "max_trial": 3,
+                "tasks": [{"name": f"{ODD_NAME} {i}", "subtasks": [ODD_NAME, f"{i}\t{ODD_NAME}"]} for i in (1, 2)]}
+    weights = {**RewardWeights.default().to_dict(), "angry": -7.0}
+    flags = []
+    for flag, doc in (("--model", model), ("--scenario", scenario), ("--weights", weights)):
+        path = folder / f"{flag[2:]} {ODD_NAME}.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        flags += [flag, str(path)]
+    return flags, (model, scenario, weights)
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["shipped", "odd-names"])
+def test_every_manifest_is_json_dumps_of_what_it_records(tmp_path, custom):
+    folder = tmp_path / ODD_NAME
+    folder.mkdir()
+    env_flags, docs = _odd_documents(folder) if custom else ([], tuple(
+        cls.default().to_dict() for cls in (TransitionModel, ScenarioSpec, RewardWeights)))
+    trained = folder / "train"
+    runs = {
+        "train": SMOKE_TRAIN,
+        "train-decay": [*SMOKE_TRAIN, "--schedule", "decay"],
+        "evaluate-policy": ["evaluate", "--policy", str(trained / "policy.csv"), "--rollouts", "2"],
+        "evaluate-random": ["evaluate", "--baseline", "random", "--rollouts", "2"],
+        "select-final": ["evaluate", "--select-final", "--log", str(trained / "training_log.csv"),
+                         "--rollouts", "2"],
+        "simulate": ["simulate", "--policy", str(trained / "policy.csv")],
+    }
+    for name, argv in runs.items():
+        out = folder / name
+        assert main([*argv, *env_flags, "--out-dir", str(out)]) == 0, name
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2) + "\n", name
+        config = manifest["config"]
+        assert (config["transition_model"], config["scenario"], config["reward_weights"]) == docs, name
+        assert all(path.startswith(str(out)) for path in manifest["outputs"].values()), name
+
+
 def test_version_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

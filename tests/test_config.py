@@ -4,15 +4,18 @@ and the one writer that every artifact goes through."""
 from __future__ import annotations
 
 import errno
+import json
 import os
 import stat
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.cli import main
-from caresim.config import write_csv, write_json, write_text
+from caresim.config import JsonText, render_json, write_csv, write_json, write_text
 
 DOCUMENTS = [TransitionModel, ScenarioSpec, RewardWeights]
 
@@ -30,6 +33,53 @@ def test_equal_documents_make_equal_and_equally_hashed_values(cls):
     assert rebuilt is not cls.default()
     assert rebuilt == cls.default() and hash(rebuilt) == hash(cls.default())
     assert len({rebuilt, cls.default()}) == 1
+    # a value computed once and kept on the object is not part of its identity
+    cls.default().indented_json
+    assert "indented_json" in vars(cls.default()) and "indented_json" not in vars(rebuilt)
+    assert rebuilt == cls.default() and hash(rebuilt) == hash(cls.default())
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4), min_size=1, max_size=4),
+       st.integers(1, 9))
+def test_scenarios_with_equal_fields_stay_equal_once_the_step_count_is_stored(subtasks, max_trial):
+    doc = {"name": "s", "max_trial": max_trial,
+           "tasks": [{"name": f"t{i}", "subtasks": names} for i, names in enumerate(subtasks)]}
+    first, second = ScenarioSpec.from_dict(doc), ScenarioSpec.from_dict(doc)
+    assert first.max_episode_steps == max_trial * sum(map(len, subtasks))
+    second.indented_json
+    assert "max_episode_steps" in vars(first) and "indented_json" not in vars(first)
+    assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("cls", DOCUMENTS)
+def test_indented_json_is_the_document_as_json_dumps_renders_it(cls):
+    value = cls.default()
+    assert value.indented_json == json.dumps(value.to_dict(), indent=2)
+    assert value.indented_json is value.indented_json
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _with_json_text(draw, value):
+    """``value`` with some dict values, at any depth, replaced by their rendered ``JsonText``."""
+    if isinstance(value, dict):
+        return {key: JsonText(json.dumps(item, indent=2)) if draw(st.booleans()) else draw(_with_json_text(item))
+                for key, item in value.items()}
+    return value
+
+
+@settings(max_examples=300)
+@given(st.data(), _JSON_VALUES)
+def test_render_json_is_json_dumps_with_json_text_spliced_in(data, value):
+    expected = json.dumps(value, indent=2)
+    assert render_json(data.draw(_with_json_text(value))) == expected
+    assert render_json(JsonText(expected)) == expected
 
 
 @pytest.mark.parametrize("cls", DOCUMENTS)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from caresim import AssistAction, CaregivingEnv, Policy, TemplateBackend
 from caresim.behavior import PromptVariant
-from caresim.session import run_session
+from caresim.session import _one_line, run_session
 
 A2_EVERYWHERE = Policy(tuple([AssistAction.VERBAL_NON_DIRECTIVE] * 16))
 
@@ -66,3 +68,16 @@ def test_prompt_variant_recorded_in_header(env):
         variant=PromptVariant(guidance="detailed", include_state=True),
     )
     assert "guidance=detailed include_state=True" in result.transcript
+
+
+# every boundary str.splitlines splits on, and whitespace that str.strip removes
+_LINE_TEXT = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0\u3000ab|é") | st.characters())
+
+
+@given(_LINE_TEXT)
+@example("")
+@example("  one line  ")
+@example(" a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i ")
+@example("\xa0 padded \u3000")
+def test_one_line_joins_the_stripped_non_blank_lines(text):
+    assert _one_line(text) == " / ".join(part.strip() for part in text.splitlines() if part.strip())
