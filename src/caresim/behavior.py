@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .config import ConfigError, read_name, require_probability
 from .states import ALL_STATES, STATUS_NAMES, AssistAction, StatusVector, flip_index
 
 HISTORY_CAP = 20  # exchanges kept in InteractionContext.history
@@ -63,8 +64,7 @@ def add_perception_noise(state: StatusVector, noise: float, rng: random.Random |
     ``noise`` must lie in [0, 1]. With an rng, each bit flips with that
     probability in exactly 4 draws; without one, ``noise`` must be 0.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    require_probability(noise, "noise")
     if rng is not None:
         state = ALL_STATES[flip_index(state.index, noise, rng)]
     elif noise > 0.0:
@@ -74,14 +74,16 @@ def add_perception_noise(state: StatusVector, noise: float, rng: random.Random |
 
 @dataclass(frozen=True)
 class PromptVariant:
-    """Assistance-prompt variation: guidance depth x state disclosure."""
+    """Assistance-prompt variation: guidance depth (a key of ``ASSIST_GUIDANCE``) x state disclosure."""
 
     guidance: str = "brief"
     include_state: bool = False
 
     def __post_init__(self) -> None:
-        if self.guidance not in ("brief", "detailed"):
-            raise ValueError(f"guidance must be 'brief' or 'detailed', got {self.guidance!r}")
+        if read_name(self.guidance, "guidance") not in ASSIST_GUIDANCE:
+            raise ConfigError(f"guidance must be {' or '.join(map(repr, ASSIST_GUIDANCE))}, got {self.guidance!r}")
+        if not isinstance(self.include_state, bool):
+            raise ConfigError(f"include_state must be a boolean, got {self.include_state!r}")
 
 
 class BackendError(RuntimeError):
@@ -282,25 +284,31 @@ _STATE_GUIDELINES = """State guidelines:
 - Anger: frustration directed at the task or helper; sharp tone, refusals, complaints that it is annoying or pointless.
 - Disengagement: attention drifts away from the task; minimal or trailing speech, averted gaze, idle hands."""
 
-_ASSIST_DEFINITIONS_BRIEF = {
-    AssistAction.NO_ASSISTANCE: "No assistance: say nothing.",
-    AssistAction.VERBAL_SUPPORTIVE: "Verbal supportive assistance: encouragement to initiate, continue, or complete the task.",
-    AssistAction.VERBAL_NON_DIRECTIVE: "Verbal non-directive assistance: a cue, often a question, that helps without saying exactly what to do.",
-    AssistAction.VERBAL_DIRECTIVE: "Verbal directive assistance: a direct statement of what to do next.",
+_ASSIST_LEVELS = (  # (definition, examples) of each assistance level, in action order
+    ("No assistance: say nothing.", "(no utterance)"),
+    ("Verbal supportive assistance: encouragement to initiate, continue, or complete the task.", '"Keep at it"; "Great"'),
+    ("Verbal non-directive assistance: a cue, often a question, that helps without saying exactly what to do.",
+     '"Is there anything missing?"; "Can you try another way?"'),
+    ("Verbal directive assistance: a direct statement of what to do next.",
+     '"Check the recipe again"; "The date needs to be filled in on the check"'),
+)
+
+# the assist prompt's guidance block by guidance name; its keys are the only guidance names
+ASSIST_GUIDANCE = {
+    "brief": "Assistance guidance:" + "".join(f"\n- {definition}" for definition, _ in _ASSIST_LEVELS),
+    "detailed": "Assistance guidance (with examples):"
+    + "".join(f"\n- {definition} Examples: {examples}" for definition, examples in _ASSIST_LEVELS),
 }
 
-_ASSIST_EXAMPLES = {
-    AssistAction.NO_ASSISTANCE: "(no utterance)",
-    AssistAction.VERBAL_SUPPORTIVE: '"Keep at it"; "Great"',
-    AssistAction.VERBAL_NON_DIRECTIVE: '"Is there anything missing?"; "Can you try another way?"',
-    AssistAction.VERBAL_DIRECTIVE: '"Check the recipe again"; "The date needs to be filled in on the check"',
-}
 
-
-def _format_history(ctx: InteractionContext) -> str:
-    if not ctx.history:
-        return "(no prior exchanges)"
-    return "\n".join(f"{speaker}: {text}" for speaker, text in ctx.history)
+def _task_and_history(ctx: InteractionContext) -> str:
+    """The task context and the history so far, which open the narrate and assist prompts."""
+    history = "\n".join(f"{speaker}: {text}" for speaker, text in ctx.history) or "(no prior exchanges)"
+    return (
+        f"Task context: scenario '{ctx.scenario_name}', task '{ctx.task_name}', "
+        f"current step '{ctx.subtask_name}'.\n\n"
+        f"Interaction history so far:\n{history}"
+    )
 
 
 def _format_state_vector(state: StatusVector) -> str:
@@ -320,9 +328,7 @@ def build_narrate_messages(state: StatusVector, ctx: InteractionContext) -> list
     )
     user = "\n\n".join(
         [
-            f"Task context: scenario '{ctx.scenario_name}', task '{ctx.task_name}', "
-            f"current step '{ctx.subtask_name}'.",
-            f"Interaction history so far:\n{_format_history(ctx)}",
+            _task_and_history(ctx),
             f"Latest caregiver assistance: {ctx.latest_assistance or '(none)'}",
             _STATE_GUIDELINES,
             "Your current state vector (1 = present, 0 = absent): "
@@ -360,31 +366,20 @@ def build_assist_messages(
     state: StatusVector,
 ) -> list[dict]:
     """Eight-part prompt: role, task context, history, current behavior,
-    selected action, output format, guidance (brief or detailed), and the
-    state, which is read only when ``variant.include_state`` is set."""
+    selected action, output format, the ``ASSIST_GUIDANCE`` block of
+    ``variant.guidance``, and the state, read only with ``variant.include_state``."""
     system = (
         "You are a caregiving robot helping an older adult with dementia complete "
         "an everyday activity. Produce the exact words you will say."
     )
     last_plwd = next((text for speaker, text in reversed(ctx.history) if speaker == "PLWD"), "(none)")
-    if variant.guidance == "brief":
-        guidance = "Assistance guidance:\n" + "\n".join(
-            f"- {_ASSIST_DEFINITIONS_BRIEF[a]}" for a in _ASSIST_DEFINITIONS_BRIEF
-        )
-    else:
-        guidance = "Assistance guidance (with examples):\n" + "\n".join(
-            f"- {_ASSIST_DEFINITIONS_BRIEF[a]} Examples: {_ASSIST_EXAMPLES[a]}"
-            for a in _ASSIST_DEFINITIONS_BRIEF
-        )
     parts = [
-        f"Task context: scenario '{ctx.scenario_name}', task '{ctx.task_name}', "
-        f"current step '{ctx.subtask_name}'.",
-        f"Interaction history so far:\n{_format_history(ctx)}",
+        _task_and_history(ctx),
         f"The person's current behavior: {last_plwd}",
         f"Selected assistance level: {action.code} ({action.label}).",
         "Output format: reply with a single line, the utterance only; reply with an "
         "empty line if the assistance level is no assistance.",
-        guidance,
+        ASSIST_GUIDANCE[variant.guidance],
     ]
     if variant.include_state:
         parts.append("The person's current state vector: " + _format_state_vector(state))

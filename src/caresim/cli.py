@@ -27,7 +27,7 @@ from .agent import (
     extract_policy,
     train,
 )
-from .behavior import BackendError, PromptVariant, TemplateBackend
+from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
 from .config import ConfigError, read_bytes, require_probability, write_json, write_text
 from .env import CaregivingEnv
 from .evaluation import (
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--use-perceived", action="store_true",
                        help="route decisions through the perceived state")
     add_setting = partial(p_sim.add_argument, default=argparse.SUPPRESS)
-    add_setting("--guidance", choices=("brief", "detailed"))
+    add_setting("--guidance", choices=ASSIST_GUIDANCE)
     add_setting("--include-state", action="store_true",
                 help="include the true state in assistance prompts")
     p_sim.add_argument("--transcript", help="transcript path (default: OUT_DIR/transcript.txt)")

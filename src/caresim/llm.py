@@ -3,11 +3,11 @@
 Works against any endpoint speaking the chat-completions wire convention
 (POST {base_url}/chat/completions with a messages array). The credential
 is read from an environment variable, never from the base URL, which must
-carry no user name or password; base URL, model name, temperature,
-timeout, and retry budget are configuration. Timeouts, connection errors,
-server errors, and malformed replies are retried up to the budget; every
-other non-2xx reply fails at once. Either way the failure surfaces as a
-``BackendError``.
+carry no user name or password; ``HttpBackendConfig`` checks the base URL
+(parsed once), model name, temperature, timeout and retry budget. Timeouts,
+connection errors, server errors, and malformed replies are retried up to
+the budget; every other non-2xx reply fails at once. Either way the
+failure surfaces as a ``BackendError``.
 
 The client holds one keep-alive connection for its lifetime, one
 ``simulate`` session. The standard library's ``http.client`` only opens it:
@@ -37,7 +37,6 @@ from __future__ import annotations
 import base64
 import http.client
 import json
-import math
 import os
 import random
 import re
@@ -60,7 +59,7 @@ from .behavior import (
     build_narrate_messages,
     build_perceive_messages,
 )
-from .config import ConfigError
+from .config import ConfigError, read_integer, read_name, read_number
 from .states import AssistAction, StatusVector
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
@@ -223,7 +222,7 @@ def _api_key() -> str:
     return key
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpBackendConfig:
     base_url: str
     model: str
@@ -236,14 +235,15 @@ class HttpBackendConfig:
         if "@" in _split_authority(self.base_url)[0]:
             raise ConfigError("base URL must not contain a user name or password; the "
                               f"credential is read from the {_API_KEY_ENV} variable")
-        _split_http_url(self.base_url, "base URL")
-        if not math.isfinite(self.temperature) or self.temperature < 0:
+        # parsed once, for the client; not a field, so the manifest's asdict leaves it out
+        object.__setattr__(self, "endpoint", _split_http_url(self.base_url, "base URL"))
+        read_name(self.model, "model")
+        if read_number(self.temperature, "temperature") < 0:
             raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
         max_ms = threading.TIMEOUT_MAX * 1000  # the longest timeout a socket accepts
-        if not 1 <= self.timeout_ms <= max_ms:
+        if not 1 <= read_integer(self.timeout_ms, "timeout") <= max_ms:
             raise ConfigError(f"timeout must be >= 1 ms and <= {max_ms:.0f} ms, got {self.timeout_ms}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max retries must be >= 0, got {self.max_retries}")
+        read_integer(self.max_retries, "max retries", minimum=0)
 
 
 class ChatCompletionsClient:
@@ -254,7 +254,7 @@ class ChatCompletionsClient:
         self._timeout_s = config.timeout_ms / 1000.0
         # the request line, the Host field and the CONNECT line are ASCII: a non-ASCII host goes
         # as its IDNA A-label
-        url, host, port = _split_http_url(config.base_url, "base URL")
+        url, host, port = config.endpoint
         bracketed = f"[{host}]" if ":" in host else host
         target = url.path.rstrip("/") + "/chat/completions"
         host_field = _strip_zone(bracketed)

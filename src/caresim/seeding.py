@@ -21,10 +21,14 @@ def _seed(digest) -> int:
     return int.from_bytes(digest.digest()[:8], "big") >> 1
 
 
+def _label(parts: tuple) -> bytes:
+    """The bytes a label is hashed as: each part as ``str`` writes it, joined by ':'."""
+    return ":".join(map(str, parts)).encode("utf-8")
+
+
 def derive_seed(*parts: int | str) -> int:
     """Stable 63-bit seed from a sequence of ints/strings."""
-    text = ":".join(str(p) for p in parts)
-    return _seed(hashlib.sha256(text.encode("utf-8")))
+    return _seed(hashlib.sha256(_label(parts)))
 
 
 def spawn_rng(*parts: int | str) -> random.Random:
@@ -37,7 +41,7 @@ def spawn_rngs(*parts: int | str, count: int) -> Iterator[random.Random]:
     Every item is the same generator, reseeded: an rng is valid only until
     the next one is drawn, so use each before taking the next.
     """
-    prefix = hashlib.sha256("".join(f"{p}:" for p in parts).encode("utf-8"))
+    prefix = hashlib.sha256(_label((*parts, "")))  # the label of (*parts, i) up to str(i)
     rng = random.Random(0)
     for i in range(count):
         digest = prefix.copy()

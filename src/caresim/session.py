@@ -60,7 +60,7 @@ def run_session(
     ctx = InteractionContext(scenario_name=scenario.name)
 
     lines: list[str] = [
-        f"Scenario: {scenario.name}",
+        f"Scenario: {_one_line(scenario.name)}",
         f"Policy: {policy.policy_id}",
         f"Prompt variant: guidance={variant.guidance} include_state={variant.include_state}",
         f"Perception noise: {noise:g}  decisions use: {'perceived' if use_perceived else 'true'} state",

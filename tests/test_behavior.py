@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import re
 import zlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caresim import AssistAction, StatusVector, TemplateBackend, narrate, perceive
+from caresim import AssistAction, ConfigError, StatusVector, TemplateBackend, narrate, perceive
 from caresim.behavior import (
     _ASSIST_UTTERANCES,
     _STATUS_VERBAL,
@@ -166,6 +169,14 @@ def test_prompt_variant_validation():
         PromptVariant(guidance="verbose")
     variants = {(g, inc) for g in ("brief", "detailed") for inc in (False, True)}
     assert len(variants) == 4
+    for fields, message in [
+        ({"guidance": "verbose"}, "guidance must be 'brief' or 'detailed', got 'verbose'"),
+        ({"guidance": ["brief"]}, "guidance must be a string, got ['brief']"),
+        ({"include_state": "no"}, "include_state must be a boolean, got 'no'"),
+        ({"include_state": 1}, "include_state must be a boolean, got 1"),
+    ]:
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            PromptVariant(**fields)
 
 
 def test_history_cap_drops_oldest():
@@ -233,3 +244,48 @@ def test_pick_is_the_crc32_of_the_joined_coordinates_on_every_call(bank, keys):
     as_floats = [float(k) if type(k) is int else k for k in keys]
     for coordinates in (keys, as_floats, keys, as_floats):
         assert _pick(bank, *coordinates) == _reference_pick(bank, *coordinates)
+
+
+# --------------------------------------------------------------------------
+# the exact prompts: any change to their text shows here
+
+
+def _prompt_digest(messages: list[list[dict]]) -> str:
+    return hashlib.sha256(json.dumps(messages, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture()
+def rich_ctx():
+    ctx = InteractionContext(
+        scenario_name="épicerie 市場", task_name="Pay at the till", subtask_name="count the coins"
+    )
+    ctx.history.extend(
+        [("PLWD", "stares at the coins | Combien ?"), ("Caregiver", "Is there anything missing?")]
+    )
+    ctx.latest_assistance = "Is there anything missing?"
+    return ctx
+
+
+def test_narrate_prompts_are_pinned(rich_ctx):
+    messages = [
+        build_narrate_messages(state, ctx) for state in ALL_STATES for ctx in (rich_ctx, InteractionContext())
+    ]
+    assert _prompt_digest(messages) == "d13ee9b25efa492fd98fc7b97225900ddc7914890ff6568340846e1d75d9e6fd"
+
+
+def test_perceive_prompts_are_pinned():
+    behaviors = (BehaviorText("regarde l'étagère, perdu", "Où est la liste ?"), BehaviorText("nods", ""))
+    messages = [build_perceive_messages(behavior) for behavior in behaviors]
+    assert _prompt_digest(messages) == "2de401cebbf2ad2cf820cc8b4d920386f470343a6807afabd8bb9ffe47574268"
+
+
+def test_assist_prompts_are_pinned(rich_ctx):
+    state = StatusVector(1, 0, 1, 0)
+    messages = [
+        build_assist_messages(action, ctx, PromptVariant(guidance, include_state), state)
+        for action in AssistAction
+        for guidance in ("brief", "detailed")
+        for include_state in (False, True)
+        for ctx in (rich_ctx, InteractionContext())
+    ]
+    assert _prompt_digest(messages) == "c743b9a4c01f3f408b1a6dda45db227aa43d59ca8be9934507408e1616fe05c2"

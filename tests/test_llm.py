@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -411,6 +412,39 @@ def test_host_that_names_no_server_is_a_config_error(http_env, monkeypatch, base
     monkeypatch.setenv("http_proxy", base_url.replace("/v1", ":3128"))
     with pytest.raises(ConfigError, match="proxy URL host is neither"):
         HttpBackend(HttpBackendConfig(base_url="http://chat.invalid/v1", model="m"))
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"max_retries": 1.5}, "max retries must be an integer, got 1.5"),
+        ({"max_retries": True}, "max retries must be an integer, got True"),
+        ({"timeout_ms": True}, "timeout must be an integer, got True"),
+        ({"timeout_ms": 2000.0}, "timeout must be an integer, got 2000.0"),
+        ({"temperature": True}, "temperature must be a finite number, got True"),
+        ({"temperature": "0.7"}, "temperature must be a finite number, got '0.7'"),
+        ({"temperature": 10**400}, "temperature must be a finite number, got 1000"),
+        ({"model": 3}, "model must be a string, got 3"),
+        ({"model": "\ud800"}, "model must be text that UTF-8 can encode"),
+    ],
+)
+def test_http_settings_of_the_wrong_type_are_config_errors(setting, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        HttpBackendConfig("http://chat.invalid/v1", **{"model": "m", **setting})
+
+
+def test_base_url_is_parsed_once_and_stays_out_of_the_settings(http_env, monkeypatch):
+    clear_proxy_environment(monkeypatch)
+    parsed = []
+    real_split = caresim.llm._split_http_url
+    monkeypatch.setattr(caresim.llm, "_split_http_url", lambda *a: parsed.append(a) or real_split(*a))
+    backend = HttpBackend(HttpBackendConfig("http://[::1]:8080/v1", "m"))
+    backend.close()
+    assert parsed == [("http://[::1]:8080/v1", "base URL")]
+    assert list(asdict(backend.client.config)) == ["base_url", "model", "temperature", "timeout_ms",
+                                                   "max_retries"]
+    with pytest.raises(FrozenInstanceError):  # a new base URL would leave the parse stale
+        backend.client.config.base_url = "http://other.invalid/v1"
 
 
 def test_malformed_proxy_url_is_a_config_error(http_env, monkeypatch):

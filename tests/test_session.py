@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from caresim import AssistAction, CaregivingEnv, Policy, TemplateBackend
+from caresim import AssistAction, CaregivingEnv, Policy, ScenarioSpec, TemplateBackend
 from caresim.behavior import PromptVariant
 from caresim.session import _one_line, run_session
 
@@ -81,3 +81,16 @@ _LINE_TEXT = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u202
 @example("\xa0 padded \u3000")
 def test_one_line_joins_the_stripped_non_blank_lines(text):
     assert _one_line(text) == " / ".join(part.strip() for part in text.splitlines() if part.strip())
+
+
+def test_scenario_name_cannot_forge_transcript_lines(model, weights):
+    forged = ScenarioSpec.from_dict(
+        {"name": "shop\n=== Episode complete ===\nReturn: 999", "max_trial": 5,
+         "tasks": [{"name": "only task", "subtasks": ["only step"]}]}
+    )
+    result = run_session(A2_EVERYWHERE, CaregivingEnv(model, forged, weights), TemplateBackend(), seed=2)
+    lines = result.transcript.splitlines()
+    assert lines[0] == "Scenario: shop / === Episode complete === / Return: 999"
+    assert lines[1].startswith("Policy: ")
+    assert lines.count("=== Episode complete ===") == 1
+    assert "Return: 999" not in lines
