@@ -7,9 +7,15 @@ environment events, not actions: the skip penalty and post-skip state are
 already folded into the step result the learner sees.
 
 Random-draw accounting (for reproducibility):
-  - select_action consumes exactly 2 draws per call (explore test, choice),
+  - each action choice consumes exactly 2 draws (explore test, choice): in
+    ``select_action``, and in the training episode's inlined copy of it,
   - each environment step consumes 4 draws, or 8 when a skip fires,
   - with perception noise, each observation costs 4 more draws (``states.flip_index``).
+
+``select_action`` and ``q_update`` are the reference definitions of the
+choice and the update. The training episode runs both inline, with the same
+draws and the same float operations in the same order, so it learns exactly
+what a loop over the two functions learns.
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ class Policy:
     def from_id(cls, policy_id: str) -> "Policy":
         if not _is_policy_id(policy_id):
             raise ValueError(f"malformed policy id: {policy_id!r}")
-        return cls(tuple(AssistAction(int(c)) for c in policy_id))
+        return cls(tuple([ACTIONS[int(c)] for c in policy_id]))
 
     def to_file(self, path: str | Path) -> None:
         rows = [[index, action.code] for index, action in enumerate(self.actions)]
@@ -200,9 +206,14 @@ class Policy:
             raise ConfigError(f"{exc} in {path}") from None
 
 
+def _greedy_policy_id(q: QTable) -> str:
+    """The id of the greedy policy; ties break to the lowest action index (deterministic)."""
+    return "".join([_DIGITS[row.index(max(row))] for row in q.values])
+
+
 def extract_policy(q: QTable) -> Policy:
-    """Greedy policy; ties break to the lowest action index (deterministic)."""
-    return Policy(tuple([ACTIONS[row.index(max(row))] for row in q.values]))
+    """Greedy policy, by ``_greedy_policy_id``'s rule."""
+    return Policy.from_id(_greedy_policy_id(q))
 
 
 @dataclass(frozen=True)
@@ -286,17 +297,36 @@ class TrainingLog:
 def _run_training_episode(
     env: CaregivingEnv, q: QTable, epsilon: float, config: TrainingConfig, rng: random.Random
 ) -> float:
+    """One learning episode: ``select_action``, ``env.step`` and ``q_update`` per step, inlined."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     noise, alpha, gamma = config.perception_noise, config.alpha, config.gamma
+    values = q.values
+    draw = rng.random
     env.reset(rng)
+    env_step = env.step  # bound per episode, so a replaced CaregivingEnv.step still runs every step
     obs = flip_index(env.index, noise, rng) if noise else env.index
     episode_return = 0.0
     while True:
-        action = select_action(q, obs, epsilon, rng)
-        step = env.step(action)
+        row = values[obs]
+        explore = draw() < epsilon
+        u = draw()
+        if explore:
+            action = int(u * NUM_ACTIONS)
+        else:
+            best = max(row)
+            if row.count(best) == 1:
+                action = row.index(best)
+            else:
+                ties = [i for i in range(NUM_ACTIONS) if row[i] == best]
+                action = ties[int(u * len(ties))]
+        step = env_step(action)
+        reward, done = step.reward, step.done
         next_obs = flip_index(env.index, noise, rng) if noise else env.index
-        q_update(q, obs, action, step.reward, next_obs, step.done, alpha, gamma)
-        episode_return += step.reward
-        if step.done:
+        target = reward if done else reward + gamma * max(values[next_obs])
+        row[action] += alpha * (target - row[action])
+        episode_return += reward
+        if done:
             return episode_return
         obs = next_obs
 
@@ -330,7 +360,7 @@ def train(config: TrainingConfig) -> tuple[QTable, TrainingLog]:
             if episode + 1 == config.snapshot_episode:
                 snapshot_policy = extract_policy(q)
             if global_episode >= final_window_start:
-                log.final_policies.append((global_episode, extract_policy(q).policy_id))
+                log.final_policies.append((global_episode, _greedy_policy_id(q)))
             global_episode += 1
         assert snapshot_policy is not None
         mean_return = None

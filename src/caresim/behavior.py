@@ -301,12 +301,25 @@ ASSIST_GUIDANCE = {
 }
 
 
+def _one_line(text: str) -> str:
+    """``text``'s stripped non-blank lines, joined by " / ", so it cannot start a line of its own.
+
+    Single-line printable text comes back stripped, without being split.
+    """
+    if text.isprintable():  # every line boundary of str.splitlines is unprintable, so this is one line
+        return text.strip()
+    return " / ".join(part.strip() for part in text.splitlines() if part.strip())
+
+
 def _task_and_history(ctx: InteractionContext) -> str:
-    """The task context and the history so far, which open the narrate and assist prompts."""
+    """The task context and the history so far, which open the narrate and assist prompts.
+
+    The names come from configuration files, so each is flattened to one line.
+    """
     history = "\n".join(f"{speaker}: {text}" for speaker, text in ctx.history) or "(no prior exchanges)"
     return (
-        f"Task context: scenario '{ctx.scenario_name}', task '{ctx.task_name}', "
-        f"current step '{ctx.subtask_name}'.\n\n"
+        f"Task context: scenario '{_one_line(ctx.scenario_name)}', task '{_one_line(ctx.task_name)}', "
+        f"current step '{_one_line(ctx.subtask_name)}'.\n\n"
         f"Interaction history so far:\n{history}"
     )
 

@@ -8,9 +8,15 @@ step's successor for both the reward and any learner bootstrapping, so a
 step is always a single (state, action, reward, next_state) tuple.
 
 Random draws per step: 4 for the assisted transition, plus 4 more when a
-forced skip fires, both through ``states.sample_index``. The rng is
-supplied at reset and owned by the episode; independent episodes with
-independent rngs may run in parallel.
+forced skip fires, one per status in the order ``states.sample_index``
+fixes. ``step`` makes them itself, on the rng's ``random`` bound at reset,
+and calls no sampler. The rng is supplied at reset and owned by the
+episode; independent episodes with independent rngs may run in parallel.
+
+Every step of every caller goes through ``CaregivingEnv.step`` as looked
+up on the class when the episode starts: the rollout and training loops
+bind ``env.step`` once per episode, never at import, so a wrapper put on
+the class attribute (a profiler's, a test's) sees each step.
 
 The stepping core runs on integers. The environment keeps ``index``, the
 status index that the learner and the evaluators act on, and ``node``,
@@ -39,11 +45,11 @@ have.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .reward import RewardWeights, compute_reward
 from .scenario import ScenarioSpec, StepEvents, advance
-from .states import ALL_STATES, AssistAction, StatusVector, sample_index
+from .states import ALL_STATES, AssistAction, StatusVector
 from .transition import TransitionModel
 
 
@@ -75,7 +81,7 @@ class CaregivingEnv:
         self.weights = weights
         self._onset_table = model.onset
         self._skip_table = model.skip
-        self._rng: random.Random | None = None
+        self._draw: Callable[[], float] | None = None  # the episode rng's ``random``, bound at reset
         self._end = scenario.max_episode_steps  # the terminal node
         global _shared
         if _shared[0] is not scenario or _shared[1] is not weights:
@@ -90,24 +96,27 @@ class CaregivingEnv:
 
     def reset(self, rng: random.Random) -> StatusVector:
         """Start a fresh episode at the all-clear state, driven by ``rng``."""
-        self._rng = rng
+        self._draw = rng.random
         self.index = 0
         self.node = 0
         return ALL_STATES[0]
 
     def step(self, action: AssistAction) -> EnvStep:
-        rng = self._rng
-        if rng is None:
+        draw = self._draw
+        if draw is None:
             raise RuntimeError("call reset() before step()")
         node = self.node
         if node == self._end:
             raise ValueError("step() called on a finished episode")
 
-        post = sample_index(self._onset_table[self.index][action], rng)
+        # the draws of states.sample_index, inlined: one per status, in bit order
+        p0, p1, p2, p3 = self._onset_table[self.index][action]
+        post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
         slot = node << 3 | (post == 0) << 2 | action
         self.node, skips, outcomes = self._edges[slot] or self._fill_edge(slot, post == 0, action)
         if skips:
-            post = sample_index(self._skip_table[post], rng)
+            p0, p1, p2, p3 = self._skip_table[post]
+            post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
         self.index = post
         return outcomes[post]
 

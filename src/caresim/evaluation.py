@@ -46,9 +46,10 @@ def random_actor(state: int, rng: random.Random) -> AssistAction:
 def run_episode(actor: Actor, env: CaregivingEnv, rng: random.Random) -> float:
     """Play one episode to termination and return the undiscounted return."""
     env.reset(rng)
+    env_step = env.step  # bound per episode, so a replaced CaregivingEnv.step still runs every step
     total = 0.0
     while True:
-        step = env.step(actor(env.index, rng))
+        step = env_step(actor(env.index, rng))
         total += step.reward
         if step.done:
             return total

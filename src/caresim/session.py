@@ -12,8 +12,9 @@ runs), 4 for the transition, plus 4 more on a forced skip.
 
 The fixed parts of the transcript are built once, at import: the
 ``[f,c,a,d]`` fragment of each state (``_BITS``, by state index) and the
-``Action:`` line of each action (``_ACTION_LINES``). ``_one_line`` returns
-single-line printable text stripped, without splitting it.
+``Action:`` line of each action (``_ACTION_LINES``). Every free text that
+reaches a transcript line goes through ``behavior._one_line``, so no name
+or utterance can start a line of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .agent import Policy
-from .behavior import InteractionContext, PromptVariant, narrate, perceive, render_assist
+from .behavior import InteractionContext, PromptVariant, _one_line, narrate, perceive, render_assist
 from .env import CaregivingEnv
 from .seeding import spawn_rng
 from .states import ACTIONS, ALL_STATES
@@ -36,13 +37,6 @@ class SessionResult:
 
 _BITS = tuple(f"[{s.forgetful},{s.confused},{s.angry},{s.disengaged}]" for s in ALL_STATES)
 _ACTION_LINES = tuple(f"Action: {action.code} {action.label}" for action in ACTIONS)
-
-
-def _one_line(text: str) -> str:
-    """``text``'s stripped non-blank lines, joined by " / "."""
-    if text.isprintable():  # every line boundary of str.splitlines is unprintable, so this is one line
-        return text.strip()
-    return " / ".join(part.strip() for part in text.splitlines() if part.strip())
 
 
 def run_session(

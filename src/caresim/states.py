@@ -96,9 +96,10 @@ def sample_index(probs: tuple[float, float, float, float], rng: random.Random) -
     """Draw the four statuses in order, each on with its probability; exactly 4 draws.
 
     Returns the packed index of the sampled vector, so sampling allocates
-    nothing. The only code that draws status bits: transitions, forced
-    skips and perception noise all go through it, which fixes the draw
-    order in one place.
+    nothing. It defines the draw order of status bits: ``transition`` and
+    perception noise (``flip_index``) call it, and ``CaregivingEnv.step``
+    makes the same four draws inline, for the assisted transition and for
+    a forced skip, as the environment tests check draw for draw.
     """
     draw = rng.random
     return (

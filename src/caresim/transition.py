@@ -21,9 +21,11 @@ one is, and anger and disengagement each persist with their own flat
 probability.
 
 All sampling is Bernoulli per status, conditionally independent given the
-current vector, and goes through ``states.sample_index``: exactly 4 rng
+current vector, in the draw order of ``states.sample_index``: exactly 4 rng
 draws in fixed status order, so replays stay aligned under model edits.
-Sampled vectors are the shared ``ALL_STATES`` instances, never fresh objects.
+``transition`` calls ``sample_index``; the environment's step makes the same
+draws inline on the ``onset`` and ``skip`` tables. Sampled vectors are the
+shared ``ALL_STATES`` instances, never fresh objects.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caresim import (
     AssistAction,
+    CaregivingEnv,
     ConfigError,
     ConstantEpsilon,
     ExponentialDecayEpsilon,
@@ -16,7 +19,16 @@ from caresim import (
     extract_policy,
     train,
 )
-from caresim.agent import DEFAULT_DECAY_RATE, QTable, TrainingLog, q_update, select_action
+from caresim.agent import (
+    DEFAULT_DECAY_RATE,
+    QTable,
+    TrainingLog,
+    _greedy_policy_id,
+    _run_training_episode,
+    q_update,
+    select_action,
+)
+from caresim.states import flip_index
 
 A0, A1, A2, A3 = AssistAction
 
@@ -347,3 +359,73 @@ def test_training_config_validation(model, scenario, weights, overrides, message
 
 def test_a_negative_seed_is_valid(model, scenario, weights):
     assert small_config(model, scenario, weights, seed=-1).seed == -1
+
+
+# --------------------------------------------------------------------------
+# the fused training episode against the reference definitions
+
+
+def _reference_training_episode(env, q, epsilon, config, rng):
+    """One learning episode as a loop over select_action, env.step, flip_index and q_update."""
+    noise = config.perception_noise
+    env.reset(rng)
+    obs = flip_index(env.index, noise, rng) if noise else env.index
+    episode_return = 0.0
+    while True:
+        action = select_action(q, obs, epsilon, rng)
+        step = env.step(action)
+        next_obs = flip_index(env.index, noise, rng) if noise else env.index
+        q_update(q, obs, action, step.reward, next_obs, step.done, config.alpha, config.gamma)
+        episode_return += step.reward
+        if step.done:
+            return episode_return
+        obs = next_obs
+
+
+# trained-looking values mixed with a few repeated ones, so that many rows of a drawn table
+# hold ties short of an all-way tie
+_q_values = st.sampled_from([0.0, -3.5, 1.25, 7.0]) | st.floats(-50.0, 150.0)
+_partly_trained_tables = st.lists(st.lists(_q_values, min_size=4, max_size=4), min_size=16, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    epsilon=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    noise=st.sampled_from([0.0, 0.2]),
+    table=st.none() | _partly_trained_tables,
+    episodes=st.integers(1, 4),
+)
+def test_training_episode_equals_the_reference_loop(model, scenario, weights, seed, epsilon, noise, table,
+                                                    episodes):
+    # from a zero table (every row an all-way tie) or a partly trained one, episode after episode,
+    # so the later episodes start from partly trained tables
+    config = small_config(model, scenario, weights, perception_noise=noise)
+    rows = table or [[0.0] * 4 for _ in range(16)]
+    q, reference = QTable([list(row) for row in rows]), QTable([list(row) for row in rows])
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    env, reference_env = (CaregivingEnv(model, scenario, weights) for _ in range(2))
+    for _ in range(episodes):
+        episode_return = _run_training_episode(env, q, epsilon, config, rng)
+        assert episode_return == _reference_training_episode(reference_env, reference, epsilon, config,
+                                                              reference_rng)
+        assert q.values == reference.values
+        assert rng.getstate() == reference_rng.getstate()
+
+
+def test_training_episode_rejects_bad_epsilon(model, scenario, weights):
+    env = CaregivingEnv(model, scenario, weights)
+    with pytest.raises(ValueError, match="epsilon"):
+        _run_training_episode(env, QTable(), 1.5, small_config(model, scenario, weights), random.Random(0))
+
+
+@given(_partly_trained_tables)
+def test_the_greedy_policy_id_is_the_id_of_the_extracted_policy(table):
+    q = QTable(table)
+    assert _greedy_policy_id(q) == extract_policy(q).policy_id
+    assert extract_policy(q).actions == tuple(AssistAction(row.index(max(row))) for row in table)
+
+
+def test_the_last_final_window_record_is_the_trained_greedy_policy(model, scenario, weights):
+    q, log = train(small_config(model, scenario, weights))
+    assert log.final_policies[-1][1] == extract_policy(q).policy_id

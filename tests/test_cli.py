@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import caresim.cli
-from caresim import AssistAction, Policy, RewardWeights, ScenarioSpec, TransitionModel
+from caresim import AssistAction, CaregivingEnv, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.agent import ConstantEpsilon, ExponentialDecayEpsilon, QTable, TrainingConfig, TrainingLog
 from caresim.cli import main
 
@@ -707,6 +707,43 @@ def test_csv_line_endings_are_fixed_per_file(tmp_path):
     for name in ("training_log.csv", "learning_curve.csv"):
         data = (out / name).read_bytes()
         assert data.count(b"\r\n") == data.count(b"\n") > 1, name
+
+
+def test_every_env_step_goes_through_the_class_attribute(tmp_path, monkeypatch):
+    # a profiler that wraps CaregivingEnv.step, as perfbench's tracer does, must see every step
+    def run_commands(out: Path) -> dict:
+        train_out = out / "train"
+        assert main(SMOKE_TRAIN + ["--perception-noise", "0.2", "--out-dir", str(train_out)]) == 0
+        assert main(["evaluate", "--select-final", "--log", str(train_out / "training_log.csv"),
+                     "--rollouts", "3", "--out-dir", str(out / "final")]) == 0
+        assert main(["simulate", "--policy", str(train_out / "policy.csv"), "--noise", "0.2",
+                     "--use-perceived", "--out-dir", str(out / "sim")]) == 0
+        return {path.relative_to(out): path.read_bytes()
+                for path in out.rglob("*") if path.is_file() and path.name != "manifest.json"}
+
+    plain = run_commands(tmp_path / "plain")
+    counts = {"reset": 0, "step": 0, "done": 0}
+    reset, step = CaregivingEnv.reset, CaregivingEnv.step
+
+    def counted_reset(self, rng):
+        counts["reset"] += 1
+        return reset(self, rng)
+
+    def counted_step(self, action):
+        counts["step"] += 1
+        result = step(self, action)
+        counts["done"] += result.done
+        return result
+
+    monkeypatch.setattr(CaregivingEnv, "reset", counted_reset)
+    monkeypatch.setattr(CaregivingEnv, "step", counted_step)
+    assert run_commands(tmp_path / "wrapped") == plain
+    candidates = len({policy_id for _, policy_id in
+                      TrainingLog.from_file(tmp_path / "plain" / "train" / "training_log.csv").final_policies})
+    # 3 epochs of 4 learning episodes and 2 snapshot rollouts, 3 rollouts per candidate, 1 session
+    assert counts["reset"] == 3 * (4 + 2) + 3 * min(candidates, 5) + 1
+    assert counts["done"] == counts["reset"]
+    assert counts["step"] >= counts["reset"] * 8  # the shipped scenario has 8 subtasks
 
 
 # SHA-256 of the artifacts of one same-seed run of each command, pinned from
