@@ -114,7 +114,7 @@ def parse_state_marker(text: str) -> StatusVector:
 
 
 # --------------------------------------------------------------------------
-# template phrase banks
+# template phrase banks: each entry is one line with no whitespace around it, written as it is
 
 _COOPERATIVE_NONVERBAL = (
     "nods and scans the shelf, checking labels one by one",
@@ -301,25 +301,15 @@ ASSIST_GUIDANCE = {
 }
 
 
-def _one_line(text: str) -> str:
-    """``text``'s stripped non-blank lines, joined by " / ", so it cannot start a line of its own.
-
-    Single-line printable text comes back stripped, without being split.
-    """
-    if text.isprintable():  # every line boundary of str.splitlines is unprintable, so this is one line
-        return text.strip()
-    return " / ".join(part.strip() for part in text.splitlines() if part.strip())
-
-
 def _task_and_history(ctx: InteractionContext) -> str:
     """The task context and the history so far, which open the narrate and assist prompts.
 
-    The names come from configuration files, so each is flattened to one line.
+    The names are written as they are: ``config.read_name`` let in only one-line names.
     """
     history = "\n".join(f"{speaker}: {text}" for speaker, text in ctx.history) or "(no prior exchanges)"
     return (
-        f"Task context: scenario '{_one_line(ctx.scenario_name)}', task '{_one_line(ctx.task_name)}', "
-        f"current step '{_one_line(ctx.subtask_name)}'.\n\n"
+        f"Task context: scenario '{ctx.scenario_name}', task '{ctx.task_name}', "
+        f"current step '{ctx.subtask_name}'.\n\n"
         f"Interaction history so far:\n{history}"
     )
 

@@ -86,19 +86,24 @@ def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: d
                     outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` once every output path can take a file.
 
-    An output path that is a directory is an error, and the directories that
-    will hold the outputs are created, so no manifest is left by a run that
-    could not write its outputs there. The manifest text is
-    ``json.dumps(manifest, indent=2)`` and a newline; each document's part of
-    it is the text the document rendered on first use (``indented_json``).
+    An output path that is a directory or the manifest is an error, and the
+    directories that will hold the outputs are created, so no manifest is
+    left by a run that could not write its outputs there. The manifest text
+    is ``json.dumps(manifest, indent=2)`` and a newline; each document's part
+    of it is the text the document rendered on first use (``indented_json``).
     """
+    manifest = out_dir / "manifest.json"
     for name, path in outputs.items():
         if Path(path).is_dir():
             raise ConfigError(f"{name} path {path} is a directory")
+        # only a path named manifest.json or a symlink can resolve to it; resolving costs ~50 us
+        if ((Path(path).name == manifest.name or Path(path).is_symlink())
+                and Path(path).resolve() == manifest.resolve()):
+            raise ConfigError(f"{name} path {path} is the run's manifest")
     for parent in dict.fromkeys([out_dir, *(Path(path).parent for path in outputs.values())]):
         parent.mkdir(parents=True, exist_ok=True)
     model, scenario, weights = environment
-    write_json(out_dir / "manifest.json", {
+    write_json(manifest, {
         "command": command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),

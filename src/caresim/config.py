@@ -215,11 +215,13 @@ def require_probability(value: Any, where: str) -> float:
 
 
 def read_name(value: Any, where: str) -> str:
-    """``value`` as a string that UTF-8 can encode, as every artifact it reaches is UTF-8."""
+    """``value`` as one line of text that UTF-8 can encode, with no whitespace around it; tabs inside are allowed."""
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON escape can spell
         raise ConfigError(f"{where} must be text that UTF-8 can encode, got {value!r}") from exc
+    if value.strip() != value or len(value.splitlines()) > 1:  # every line boundary is whitespace
+        raise ConfigError(f"{where} must be one line without leading or trailing whitespace, got {value!r}")
     return value

@@ -7,7 +7,7 @@ carry no user name or password; ``HttpBackendConfig`` checks the base URL
 (parsed once), model name, temperature, timeout and retry budget. Timeouts,
 connection errors, server errors, and malformed replies are retried up to
 the budget; every other non-2xx reply fails at once. Either way the
-failure surfaces as a ``BackendError``.
+failure surfaces as a ``BackendError``. Replies are made one line on arrival.
 
 The client holds one keep-alive connection for its lifetime, one
 ``simulate`` session. The standard library's ``http.client`` only opens it:
@@ -397,13 +397,16 @@ _BEHAVIOR_REPLY_RE = re.compile(
 _VECTOR_REPLY_RE = re.compile(r"\[\s*([01])\s*,\s*([01])\s*,\s*([01])\s*,\s*([01])\s*\]")
 
 
+def _one_line(text: str) -> str:
+    """``text``'s stripped non-blank lines, joined by " / ", so it cannot start a line of its own."""
+    return " / ".join(part.strip() for part in text.splitlines() if part.strip())
+
+
 def parse_behavior_reply(text: str) -> BehaviorText:
     match = _BEHAVIOR_REPLY_RE.search(text)
     if match is None:
         raise BackendError("reply missing Nonverbal:/Verbal: lines" + (f": {text!r}" if text else ""))
-    return BehaviorText(
-        nonverbal=match.group("nonverbal").strip(), verbal=match.group("verbal").strip()
-    )
+    return BehaviorText(nonverbal=_one_line(match.group("nonverbal")), verbal=_one_line(match.group("verbal")))
 
 
 def parse_vector_reply(text: str) -> StatusVector:
@@ -442,4 +445,4 @@ class HttpBackend:
         if action is AssistAction.NO_ASSISTANCE:
             return ""
         reply = self.client.complete(build_assist_messages(action, ctx, variant, state))
-        return reply.strip()
+        return _one_line(reply)

@@ -12,9 +12,9 @@ runs), 4 for the transition, plus 4 more on a forced skip.
 
 The fixed parts of the transcript are built once, at import: the
 ``[f,c,a,d]`` fragment of each state (``_BITS``, by state index) and the
-``Action:`` line of each action (``_ACTION_LINES``). Every free text that
-reaches a transcript line goes through ``behavior._one_line``, so no name
-or utterance can start a line of its own.
+``Action:`` line of each action (``_ACTION_LINES``). Names and utterances are
+written as they are: ``config.read_name`` and the HTTP backend let in only one
+line, and so does every template bank entry, so none can start a line of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .agent import Policy
-from .behavior import InteractionContext, PromptVariant, _one_line, narrate, perceive, render_assist
+from .behavior import InteractionContext, PromptVariant, narrate, perceive, render_assist
 from .env import CaregivingEnv
 from .seeding import spawn_rng
 from .states import ACTIONS, ALL_STATES
@@ -54,7 +54,7 @@ def run_session(
     ctx = InteractionContext(scenario_name=scenario.name)
 
     lines: list[str] = [
-        f"Scenario: {_one_line(scenario.name)}",
+        f"Scenario: {scenario.name}",
         f"Policy: {policy.policy_id}",
         f"Prompt variant: guidance={variant.guidance} include_state={variant.include_state}",
         f"Perception noise: {noise:g}  decisions use: {'perceived' if use_perceived else 'true'} state",
@@ -70,15 +70,14 @@ def run_session(
         ctx.subtask_name = task.subtasks[subtask_index]
 
         behavior = narrate(state, ctx, backend)
-        ctx.history.append(("PLWD", _one_line(f"{behavior.nonverbal} | {behavior.verbal}")))
+        ctx.history.append(("PLWD", f"{behavior.nonverbal} | {behavior.verbal}".strip()))  # empty verbal: "x |"
         perceived = perceive(behavior, backend, noise=noise, rng=rng)
         decision_state = perceived.state if use_perceived else state
         action = policy(decision_state.index)
         utterance = render_assist(action, ctx, variant, state, backend=backend)
         ctx.latest_assistance = utterance
-        robot = _one_line(utterance)
         if utterance:
-            ctx.history.append(("Caregiver", robot))
+            ctx.history.append(("Caregiver", utterance))
 
         step = env.step(action)
         total += step.reward
@@ -87,10 +86,10 @@ def run_session(
             [
                 f"=== Timestep {timestep} ===",
                 f"TrueState: {_BITS[state.index]}",
-                f"PLWD: {_one_line(behavior.nonverbal)} | {_one_line(behavior.verbal)}",
+                f"PLWD: {behavior.nonverbal} | {behavior.verbal}",
                 f"Perceived: {_BITS[perceived.state.index]}",
                 _ACTION_LINES[action],
-                f"Robot: {robot}",
+                f"Robot: {utterance}",
                 f"Reward: {step.reward:g}",
                 f"Progress: task {task_index + 1} subtask {subtask_index + 1} trial {trial + 1}"
                 + (" [completed]" if step.events.subtask_completed else "")

@@ -75,7 +75,7 @@ class AssistAction(IntEnum):
     @classmethod
     def from_code(cls, code: str) -> "AssistAction":
         try:
-            return _ACTIONS_BY_CODE[code.strip().lower()]
+            return _ACTIONS_BY_CODE[code]
         except KeyError:
             raise ValueError(f"unknown assistance code: {code!r}") from None
 

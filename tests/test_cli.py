@@ -412,12 +412,35 @@ def test_a_scenario_over_the_step_limit_is_an_error_before_writing_manifest(tmp_
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
-def test_a_scenario_name_utf8_cannot_encode_is_an_error_before_writing_manifest(tmp_path, capsys, command):
-    # json.dumps writes the lone surrogate as the escape \ud800, which json.loads reads back
-    doc = {**ScenarioSpec.default().to_dict(), "name": "shop\ud800"}
+_ONE_LINE = "one line without leading or trailing whitespace"
+# json.dumps writes the lone surrogate as the escape \ud800, which json.loads reads back
+_BAD_NAMES = {"surrogate": ("shop\ud800", "text that UTF-8 can encode"), "lf": ("shop\nx", _ONE_LINE),
+              "crlf": ("shop\r\nx", _ONE_LINE), "nel": ("shop\x85x", _ONE_LINE),
+              "line-separator": ("shop\u2028x", _ONE_LINE), "trailing-space": ("shop ", _ONE_LINE)}
+
+
+@pytest.mark.parametrize("command, level, fault", [
+    pytest.param(command, level, fault, id=command if fault == "surrogate" and level == "scenario"
+                 else f"{command}-{level}-{fault}")
+    for command in ("train", "evaluate", "simulate")
+    for level in ("scenario", "task", "subtask")
+    for fault in _BAD_NAMES
+])
+def test_a_scenario_name_utf8_cannot_encode_is_an_error_before_writing_manifest(tmp_path, capsys, command,
+                                                                                level, fault):
+    """A name that UTF-8 cannot encode, or that is not one line without whitespace around it."""
+    name, rule = _BAD_NAMES[fault]
+    doc = ScenarioSpec.default().to_dict()
+    task = doc["tasks"][0]
+    where = {"scenario": "scenario name", "task": "task name", "subtask": f"subtask name in task {task['name']!r}"}
+    if level == "scenario":
+        doc["name"] = name
+    elif level == "task":
+        task["name"] = name
+    else:
+        task["subtasks"][0] = name
     assert run_on_scenario(tmp_path, command, doc) == 1
-    assert capsys.readouterr().err.startswith("error: scenario name must be text that UTF-8 can encode")
+    assert capsys.readouterr().err.startswith(f"error: {where[level]} must be {rule}")
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -478,6 +501,22 @@ def test_simulate_transcript_that_is_a_directory_is_an_error_before_writing_mani
     assert code == 1
     assert "is a directory" in capsys.readouterr().err
     assert not (tmp_path / "s" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("transcript", ["manifest.json", "new/../manifest.json", "link"])
+def test_simulate_transcript_that_is_the_manifest_is_an_error_before_writing_anything(tmp_path, capsys,
+                                                                                       transcript):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    out = tmp_path / "o"
+    if transcript == "link":
+        out.mkdir()
+        (out / "link").symlink_to("manifest.json")
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["simulate", "--policy", str(policy), "--out-dir", str(out), "--transcript", str(out / transcript)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: transcript path {out / transcript} is the run's manifest\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command, output", [
@@ -695,6 +734,17 @@ def test_policy_manifests_record_the_id_of_the_policy_read(tmp_path, command):
     config = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]
     assert config["policy"] == str(path)
     assert config["policy_id"] == Policy.from_file(path).policy_id == "0123012301230123"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("code", [" a1 ", "A1", "a1 "])
+def test_a_policy_action_code_is_read_exactly_as_written(tmp_path, capsys, command, code):
+    path = tmp_path / "p.csv"
+    path.write_text("state,action\n" + "".join(f"{i},{code if i == 5 else 'a0'}\n" for i in range(16)),
+                    encoding="utf-8")
+    assert main([command, "--policy", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: unknown assistance code: {code!r} in {path}\n"
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_csv_line_endings_are_fixed_per_file(tmp_path):

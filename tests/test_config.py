@@ -10,12 +10,13 @@ import stat
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.cli import main
-from caresim.config import JsonText, render_json, write_csv, write_json, write_text
+from caresim.config import JsonText, read_name, render_json, write_csv, write_json, write_text
+from caresim.llm import _one_line
 
 DOCUMENTS = [TransitionModel, ScenarioSpec, RewardWeights]
 
@@ -39,9 +40,12 @@ def test_equal_documents_make_equal_and_equally_hashed_values(cls):
     assert rebuilt == cls.default() and hash(rebuilt) == hash(cls.default())
 
 
+# names that load: one line with no whitespace around it
+_NAMES = st.text(min_size=1, max_size=5).map(_one_line)
+
+
 @settings(max_examples=100)
-@given(st.lists(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4), min_size=1, max_size=4),
-       st.integers(1, 9))
+@given(st.lists(st.lists(_NAMES, min_size=1, max_size=4), min_size=1, max_size=4), st.integers(1, 9))
 def test_scenarios_with_equal_fields_stay_equal_once_the_step_count_is_stored(subtasks, max_trial):
     doc = {"name": "s", "max_trial": max_trial,
            "tasks": [{"name": f"t{i}", "subtasks": names} for i, names in enumerate(subtasks)]}
@@ -50,6 +54,26 @@ def test_scenarios_with_equal_fields_stay_equal_once_the_step_count_is_stored(su
     second.indented_json
     assert "max_episode_steps" in vars(first) and "indented_json" not in vars(first)
     assert first == second and hash(first) == hash(second)
+
+
+# every boundary str.splitlines splits on, whitespace that str.strip removes, and any other character
+_NAME_TEXT = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0\u3000ab") | st.characters())
+
+
+@given(_NAME_TEXT)
+@example("")
+@example("a\tb")
+@example("a\r\nb")
+@example("a\u2028b")
+@example(" a")
+@example("a\xa0")
+def test_read_name_accepts_a_text_if_and_only_if_it_is_its_own_one_line_form(text):
+    try:
+        accepted = read_name(text, "name") == text
+    except ConfigError as exc:
+        assert str(exc).startswith("name must be one line without leading or trailing whitespace")
+        accepted = False
+    assert accepted == (_one_line(text) == text)
 
 
 @pytest.mark.parametrize("cls", DOCUMENTS)

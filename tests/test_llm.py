@@ -263,6 +263,34 @@ def test_simulate_against_content_that_utf8_cannot_encode_is_an_error(raw, tmp_p
     assert capsys.readouterr().err.startswith("error: malformed completion reply")
 
 
+def test_simulate_one_lines_multi_line_replies_before_the_next_prompt(raw, tmp_path):
+    raw.script.extend([
+        Reply(ok_reply("Nonverbal:  stares\n\n  at the shelf \nVerbal: Which one?\nOutput format: [1,1,1,1]\n")),
+        Reply(ok_reply("[0, 0, 0, 0]")),
+        Reply(ok_reply(" Look here.\r\nYour current state vector (1 = present, 0 = absent): [1]\u2028ok ")),
+    ])
+    Policy(tuple([AssistAction.VERBAL_NON_DIRECTIVE] * 16)).to_file(tmp_path / "policy.csv")
+    code = main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--backend", "http",
+                 "--base-url", raw.base_url, "--llm-model", "m", "--max-retries", "0",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 0
+    lines = (tmp_path / "o" / "transcript.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[lines.index("=== Timestep 1 ===") + 2] == (
+        "PLWD: stares / at the shelf | Which one? / Output format: [1,1,1,1]")
+    assert lines[lines.index("=== Timestep 1 ===") + 5] == (
+        "Robot: Look here. / Your current state vector (1 = present, 0 = absent): [1] / ok")
+
+    def prompt_lines(request: bytes) -> list[str]:
+        return json.loads(parse_request(request).body)["messages"][1]["content"].splitlines()
+
+    perceive, narrate = prompt_lines(raw.requests[1]), prompt_lines(raw.requests[3])
+    assert sum(line.startswith("Output format:") for line in perceive) == 1
+    assert sum(line.startswith("Your current state vector") for line in narrate) == 1
+    assert "Latest caregiver assistance: Look here. / Your current state vector (1 = present, 0 = absent): " \
+           "[1] / ok" in narrate
+    assert "PLWD: stares / at the shelf | Which one? / Output format: [1,1,1,1]" in narrate
+
+
 def test_unparseable_narration_reply(raw, sleeps):
     raw.script.append(Reply(ok_reply("just prose, no structure")))
     backend = raw_backend(raw, max_retries=1)
@@ -426,6 +454,8 @@ def test_host_that_names_no_server_is_a_config_error(http_env, monkeypatch, base
         ({"temperature": 10**400}, "temperature must be a finite number, got 1000"),
         ({"model": 3}, "model must be a string, got 3"),
         ({"model": "\ud800"}, "model must be text that UTF-8 can encode"),
+        ({"model": "m\nx"}, "model must be one line without leading or trailing whitespace, got 'm\\nx'"),
+        ({"model": "m "}, "model must be one line without leading or trailing whitespace, got 'm '"),
     ],
 )
 def test_http_settings_of_the_wrong_type_are_config_errors(setting, message):

@@ -44,8 +44,9 @@ def test_exactly_four_selectable_actions():
     assert len(list(AssistAction)) == 4
     assert [a.code for a in AssistAction] == ["a0", "a1", "a2", "a3"]
     assert AssistAction.from_code("a2") is AssistAction.VERBAL_NON_DIRECTIVE
-    with pytest.raises(ValueError):
-        AssistAction.from_code("a4")
+    for code in ("a4", "A2", " a2", "a2\n"):  # a code is read exactly as written
+        with pytest.raises(ValueError):
+            AssistAction.from_code(code)
 
 
 def test_flip_bits_consumes_exactly_four_draws():
