@@ -105,6 +105,11 @@ class QTable:
         return cls([[read_float(cell, f"Q-value in {path}") for cell in row] for row in rows])
 
 
+def _is_count(text: str) -> bool:
+    """True for a non-empty string of ASCII digits; ``str.isdecimal`` also takes other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _read_state_rows(path: str | Path, header: list[str], kind: str) -> list[list[str]]:
     """The cells after the state index of a per-state CSV, ordered by state index.
 
@@ -112,7 +117,7 @@ def _read_state_rows(path: str | Path, header: list[str], kind: str) -> list[lis
     """
     rows: list[list[str] | None] = [None] * NUM_STATES
     for cells in read_csv(path, kind, header):
-        if len(cells) != len(header) or not cells[0].isdecimal():
+        if len(cells) != len(header) or not _is_count(cells[0]):
             raise ConfigError(f"malformed {kind} row in {path}: {cells!r}")
         index = int(cells[0])
         if index >= NUM_STATES:
@@ -283,7 +288,7 @@ class TrainingLog:
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             kind, epoch, episode, epsilon, policy_id, mean = row
             number = epoch if kind == "snapshot" else episode
-            if not number.isdecimal():
+            if not _is_count(number):
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             if kind == "snapshot":
                 mean_return = read_float(mean, f"mean return in {path}") if mean else None
@@ -339,7 +344,7 @@ def train(config: TrainingConfig) -> tuple[QTable, TrainingLog]:
     per-epoch stream so evaluation settings never perturb training. Snapshot
     evaluation runs between training episodes on the training environment:
     every episode starts with ``reset`` on its own rng, so sharing it
-    changes no result and its edge table stays warm.
+    changes no result.
     """
     from .evaluation import evaluate_policy  # local import to avoid a module cycle
 

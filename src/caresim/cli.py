@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
@@ -82,17 +83,34 @@ def _reject_options(args, names, mode: str) -> None:
         raise ConfigError(f"{', '.join(given)} cannot be used with {mode}")
 
 
-def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: dict,
-                    outputs: dict[str, str]) -> None:
-    """Write ``out_dir/manifest.json`` once every output path can take a file.
+# every option that names a file the command reads
+_INPUT_OPTIONS = ("policy", "log", "model", "scenario", "weights")
 
-    An output path that is a directory or the manifest is an error, and the
-    directories that will hold the outputs are created, so no manifest is
-    left by a run that could not write its outputs there. The manifest text
-    is ``json.dumps(manifest, indent=2)`` and a newline; each document's part
+
+def _file_id(path: str | Path) -> tuple[int, int] | None:
+    """(device, inode) of the file at ``path``, through symlinks; None if nothing is there to stat."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_dev, status.st_ino
+
+
+def _write_manifest(out_dir: Path, args, environment: tuple, resolved: dict, outputs: dict[str, str]) -> None:
+    """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
+
+    An output path that is a directory, the manifest, or a file the command
+    read (by device and inode, so a symlink or another spelling is caught)
+    is an error, and the directories that will hold the outputs are created,
+    so no manifest is left by a run that could not write its outputs there
+    and no run replaces its own input. The manifest text is
+    ``json.dumps(manifest, indent=2)`` and a newline; each document's part
     of it is the text the document rendered on first use (``indented_json``).
     """
     manifest = out_dir / "manifest.json"
+    read = {_file_id(path): f"--{option} file {path}"
+            for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
+    read.pop(None, None)
     for name, path in outputs.items():
         if Path(path).is_dir():
             raise ConfigError(f"{name} path {path} is a directory")
@@ -100,11 +118,15 @@ def _write_manifest(out_dir: Path, command: str, environment: tuple, resolved: d
         if ((Path(path).name == manifest.name or Path(path).is_symlink())
                 and Path(path).resolve() == manifest.resolve()):
             raise ConfigError(f"{name} path {path} is the run's manifest")
+    for name, path in {**outputs, "manifest": str(manifest)}.items():
+        file_id = _file_id(path)
+        if file_id in read:
+            raise ConfigError(f"{name} path {path} is the {read[file_id]}")
     for parent in dict.fromkeys([out_dir, *(Path(path).parent for path in outputs.values())]):
         parent.mkdir(parents=True, exist_ok=True)
     model, scenario, weights = environment
     write_json(manifest, {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": {**resolved, "transition_model": model.indented_json, "scenario": scenario.indented_json,
@@ -127,7 +149,7 @@ def cmd_train(args) -> int:
                for name in ("qtable", "policy", "training_log", "learning_curve")}
     plain = {name: getattr(config, name) for name in _settings(TrainingConfig)}
     resolved = {"schedule": args.schedule, **asdict(schedule), **plain}
-    _write_manifest(out_dir, "train", environment, resolved, outputs)
+    _write_manifest(out_dir, args, environment, resolved, outputs)
 
     q, log = train(config)
     policy = extract_policy(q)
@@ -179,7 +201,7 @@ def cmd_evaluate(args) -> int:
     # --rollouts < 1 was rejected above
     rollouts = args.rollouts or (SELECT_FINAL_ROLLOUTS if args.select_final else 40)
     resolved.update(rollouts=rollouts, seed=args.seed)
-    _write_manifest(out_dir, "evaluate", environment, resolved, outputs)
+    _write_manifest(out_dir, args, environment, resolved, outputs)
 
     if args.select_final:
         best, reports = select_final_policy(log, env, rollouts=rollouts, base_seed=args.seed)
@@ -222,7 +244,7 @@ def cmd_simulate(args) -> int:
                 "noise": args.noise, "use_perceived": args.use_perceived, **asdict(variant),
                 "seed": args.seed, "http": asdict(http_config) if http_config is not None else None}
     try:
-        _write_manifest(out_dir, "simulate", environment, resolved, {"transcript": str(transcript_path)})
+        _write_manifest(out_dir, args, environment, resolved, {"transcript": str(transcript_path)})
         result = run_session(policy, env, backend, seed=args.seed, noise=args.noise,
                              use_perceived=args.use_perceived, variant=variant)
     finally:

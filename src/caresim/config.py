@@ -191,11 +191,18 @@ def read_number(value: Any, where: str) -> float:
 
 
 def read_float(cell: str, where: str) -> float:
-    """A CSV cell as a float, held to the finite-number rule of ``read_number``."""
-    try:
-        value: Any = float(cell)
-    except ValueError:
-        value = cell  # not a number: read_number rejects it and shows the cell
+    """A CSV cell as a float, held to the finite-number rule of ``read_number``.
+
+    The cell must be ASCII with no whitespace around it and no ``_``, as
+    ``repr`` writes a float; ``float`` alone also takes those, and other
+    scripts' digits.
+    """
+    value: Any = cell  # a cell left as text is not a number: read_number rejects it and shows it
+    if cell.isascii() and "_" not in cell and cell.strip() == cell:
+        try:
+            value = float(cell)
+        except ValueError:
+            pass
     return read_number(value, where)
 
 

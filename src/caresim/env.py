@@ -23,28 +23,26 @@ status index that the learner and the evaluators act on, and ``node``,
 the scenario's progress node (``ScenarioSpec.position`` reads it). Each
 step looks its outcome up in an edge table with one slot per (node,
 post-transition state is all clear, action), which is exactly what
-``advance`` takes. A slot holds the next
-node, whether a forced skip fires, and an outcome row: the 16 finished
-``EnvStep``s of that slot, indexed by the step's final state. A slot is
-filled the first time an episode reaches it, by ``advance`` and, for each
-new (events, done) pair, ``compute_reward`` over all 16 states, so those
-stay the only sources of progression and reward. Slots that yield the
-same events and done share one row. A step returns an element of its row
+``advance`` takes. A slot holds the next node, whether a forced skip
+fires, and an outcome row: the 16 finished ``EnvStep``s of that slot,
+indexed by the step's final state. A step returns an element of its row
 and builds no object.
 
-The table depends on the scenario and the reward weights alone (the
-transition model is read on every step and never stored in a slot), so it
-is kept per process: this module remembers the table of the last
-(scenario, weights) pair an environment was built on, compared by
-identity, and an environment built on the same two objects shares it and
-starts warm. Building one on any other pair starts a new table and makes
-it the remembered one; environments built earlier keep the table they
-have.
+The table is a pure function of the scenario and the reward weights (the
+transition model is read on every step and never stored in a slot), so
+``_edge_table`` builds it whole and keeps the last one built: every slot
+from ``advance`` and, for each new (events, done) pair, ``compute_reward``
+over all 16 states, so those stay the only sources of progression and
+reward. Slots that yield the same events and done share one row.
+Environments built on equal scenarios and equal weights share one table,
+and so return the very same ``EnvStep`` objects; building one on another
+pair builds that pair's table, and environments built earlier keep theirs.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .reward import RewardWeights, compute_reward
@@ -60,19 +58,31 @@ class EnvStep(NamedTuple):
     done: bool
 
 
-# (scenario, weights, edge slots, outcome rows) of the last pair an environment was built on;
-# holding the two objects keeps their ids from being reused while the table is remembered
-_shared: tuple = (None, None, [], {})
+@lru_cache(maxsize=1)
+def _edge_table(scenario: ScenarioSpec, weights: RewardWeights) -> tuple[tuple[int, bool, tuple[EnvStep, ...]], ...]:
+    """Every slot ``node << 3 | all clear << 2 | action`` -> (next node, skip fires, outcome row)."""
+    end = scenario.max_episode_steps  # the terminal node
+    rows: dict[tuple[StepEvents, bool], tuple[EnvStep, ...]] = {}  # (events, done) -> outcome row
+    edges = []
+    for slot in range(end << 3):
+        node, events = advance(slot >> 3, bool(slot & 4), slot & 3, scenario)
+        done = node == end
+        row = rows.get((events, done))
+        if row is None:
+            row = rows[events, done] = tuple(
+                EnvStep(state, compute_reward(state, events, weights), events, done) for state in ALL_STATES
+            )
+        edges.append((node, events.subtask_skipped, row))
+    return tuple(edges)
 
 
 class CaregivingEnv:
     """Sequential single-episode environment with reset/step semantics.
 
     ``model``, ``scenario`` and ``weights`` are fixed for the life of the
-    environment. The edge table fills in as episodes reach new slots and is
-    shared with every other environment in the process built on the same
-    ``scenario`` and ``weights`` objects, unless another pair was used in
-    between; construction allocates at most one empty slot list.
+    environment. Its edge table is ``_edge_table(scenario, weights)``, built
+    by the first environment on those values and shared with every later
+    one in the process until another pair is built.
     """
 
     def __init__(self, model: TransitionModel, scenario: ScenarioSpec, weights: RewardWeights):
@@ -83,14 +93,7 @@ class CaregivingEnv:
         self._skip_table = model.skip
         self._draw: Callable[[], float] | None = None  # the episode rng's ``random``, bound at reset
         self._end = scenario.max_episode_steps  # the terminal node
-        global _shared
-        if _shared[0] is not scenario or _shared[1] is not weights:
-            _shared = (scenario, weights, [None] * (self._end << 3), {})
-        # slot (node << 3 | all clear << 2 | action) -> (next node, skip fires, outcome row),
-        # None until an episode reaches the slot
-        self._edges: list[tuple | None] = _shared[2]
-        # (events, done) -> outcome row, shared by every slot that yields them
-        self._outcomes: dict[tuple[StepEvents, bool], tuple[EnvStep, ...]] = _shared[3]
+        self._edges = _edge_table(scenario, weights)
         self.index = 0
         self.node = 0
 
@@ -112,23 +115,9 @@ class CaregivingEnv:
         # the draws of states.sample_index, inlined: one per status, in bit order
         p0, p1, p2, p3 = self._onset_table[self.index][action]
         post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
-        slot = node << 3 | (post == 0) << 2 | action
-        self.node, skips, outcomes = self._edges[slot] or self._fill_edge(slot, post == 0, action)
+        self.node, skips, outcomes = self._edges[node << 3 | (post == 0) << 2 | action]
         if skips:
             p0, p1, p2, p3 = self._skip_table[post]
             post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
         self.index = post
         return outcomes[post]
-
-    def _fill_edge(self, slot: int, all_clear: bool, action: AssistAction) -> tuple:
-        """Run ``advance`` once for an unseen slot and store its outcome."""
-        node, events = advance(self.node, all_clear, action, self.scenario)
-        done = node == self._end
-        outcomes = self._outcomes.get((events, done))
-        if outcomes is None:
-            outcomes = self._outcomes[events, done] = tuple(
-                EnvStep(state, compute_reward(state, events, self.weights), events, done)
-                for state in ALL_STATES
-            )
-        edge = self._edges[slot] = (node, events.subtask_skipped, outcomes)
-        return edge

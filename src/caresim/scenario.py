@@ -23,8 +23,9 @@ from typing import Any, NamedTuple
 from .config import ConfigError, Document, read_integer, read_name, read_object
 from .states import ACTIONS, AssistAction
 
-# bound on max_trial x subtasks: an environment's edge table has 8 slots per step, 64 MiB at the bound
-MAX_EPISODE_STEPS = 2**20
+# bound on max_trial x subtasks: an environment's edge table is built whole, 8 slots per step,
+# which takes about 2 s and 60 MiB at the bound
+MAX_EPISODE_STEPS = 2**16
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,17 @@ class ScenarioSpec(Document):
         """Hard upper bound on episode length: every subtask runs to a skip. Computed once per value."""
         return self.max_trial * self.total_subtasks
 
+    @cached_property
+    def _subtask_positions(self) -> tuple[tuple[int, int], ...]:
+        """(task index, subtask index within the task) of each subtask in flat order. Computed once per value."""
+        return tuple((t, s) for t, task in enumerate(self.tasks) for s in range(len(task.subtasks)))
+
     def position(self, node: int) -> tuple[int, int, int]:
         """(task index, subtask index within the task, trial) of a non-terminal node."""
         if not 0 <= node < self.max_episode_steps:
             raise ValueError(f"node {node} is terminal or outside 0..{self.max_episode_steps - 1}")
         subtask_index, trial = divmod(node, self.max_trial)
-        for task_index, task in enumerate(self.tasks):
-            if subtask_index < len(task.subtasks):
-                break
-            subtask_index -= len(task.subtasks)
-        return task_index, subtask_index, trial
+        return (*self._subtask_positions[subtask_index], trial)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "ScenarioSpec":

@@ -250,6 +250,70 @@ def test_qtable_file_rejects_non_finite_values(tmp_path, value):
         QTable.from_file(path)
 
 
+@pytest.mark.parametrize("value", [" 1.5", "1.5 ", "\t1.5", "1_0", "\u0661.\u0665", "\uff11", "abc", ""])
+def test_qtable_file_reads_a_number_only_as_repr_writes_it(tmp_path, value):
+    path = tmp_path / "q.csv"
+    QTable().to_file(path)
+    lines = path.read_text().splitlines()
+    lines[4] = f"3,1.0,{value},0.0,0.0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="Q-value in .* must be a finite number"):
+        QTable.from_file(path)
+
+
+@pytest.mark.parametrize("kind", ["policy", "qtable"])
+@pytest.mark.parametrize("index", ["\uff11", "\u0661", "\u00b9", "+1", " 1", ""])
+def test_state_files_read_a_row_index_only_in_ascii_digits(tmp_path, kind, index):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "policy":
+        Policy.from_id("0123012301230123").to_file(path)
+        load = Policy.from_file
+    else:
+        QTable().to_file(path)
+        load = QTable.from_file
+    lines = path.read_text().splitlines()
+    lines[2] = index + lines[2].removeprefix("1")  # the row of state 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="malformed"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["policy", "qtable"])
+def test_state_files_need_a_row_for_every_state_under_their_own_header(tmp_path, kind):
+    path = tmp_path / f"{kind}.csv"
+    (Policy.from_id("0123012301230123") if kind == "policy" else QTable()).to_file(path)
+    load = Policy.from_file if kind == "policy" else QTable.from_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + lines[6:]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="does not cover all 16 states"):
+        load(path)
+    for header in ("state,a0", ""):
+        path.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unrecognized .* header"):
+            load(path)
+
+
+def test_a_qtable_or_policy_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match="16 x 4"):
+        QTable([[0.0] * 4] * 15)
+    with pytest.raises(ValueError, match="16 x 4"):
+        QTable([[0.0] * 3] * 16)
+    with pytest.raises(ValueError, match="all 16 states"):
+        Policy((A0,) * 15)
+
+
+@pytest.mark.parametrize("row", [
+    "snapshot,\u0663,,0.1,{id},", "final,,\u0663,,{id},", "snapshot,x,,0.1,{id},", "final,,,,{id},",
+    "snapshot,3,,0.1,{id},\uff11", "snapshot,3,, 0.1,{id},",
+])
+def test_training_log_reads_only_ascii_counts_and_numbers(tmp_path, row):
+    path = tmp_path / "log.csv"
+    header = ",".join(TrainingLog._header)
+    path.write_text(f"{header}\n{row.format(id='0' * 16)}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="malformed training log row|must be a finite number"):
+        TrainingLog.from_file(path)
+
+
 # --------------------------------------------------------------------------
 # training loop
 

@@ -14,7 +14,7 @@ import pytest
 
 import caresim.cli
 from caresim import AssistAction, CaregivingEnv, Policy, RewardWeights, ScenarioSpec, TransitionModel
-from caresim.agent import ConstantEpsilon, ExponentialDecayEpsilon, QTable, TrainingConfig, TrainingLog
+from caresim.agent import ConstantEpsilon, EpochRecord, ExponentialDecayEpsilon, QTable, TrainingConfig, TrainingLog
 from caresim.cli import main
 
 SMOKE_TRAIN = [
@@ -280,6 +280,15 @@ def test_select_final_manifest_records_the_digest_of_the_log_bytes(tmp_path, new
     assert digests[0] != digests[1]
 
 
+def test_select_final_on_a_log_without_final_rows_is_an_error_before_writing_manifest(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    TrainingLog(epochs=[EpochRecord(0, 0.1, "0" * 16, None)]).to_file(log)
+    code = main(["evaluate", "--select-final", "--log", str(log), "--out-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: training log {log} has no final-window policy records\n"
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("select_final", [False, True])
 def test_evaluate_rejects_zero_rollouts_before_writing_manifest(tmp_path, capsys, select_final):
     out = run_train(tmp_path)
@@ -517,6 +526,30 @@ def test_simulate_transcript_that_is_the_manifest_is_an_error_before_writing_any
     assert code == 1
     assert capsys.readouterr().err == f"error: transcript path {out / transcript} is the run's manifest\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, output, path, read", [
+    (["simulate", "--policy", "{policy}", "--transcript", "{policy}"], "transcript", "{policy}",
+     "--policy file {policy}"),
+    (["simulate", "--policy", "{policy}", "--transcript", "{link}"], "transcript", "{link}", "--policy file {policy}"),
+    (["train", "--epochs", "1", "--model", "{out}/qtable.csv"], "qtable", "{out}/qtable.csv",
+     "--model file {out}/qtable.csv"),
+    (["train", "--epochs", "1", "--scenario", "{out}/manifest.json"], "manifest", "{out}/manifest.json",
+     "--scenario file {out}/manifest.json"),
+], ids=["transcript-is-policy", "transcript-links-to-policy", "model-at-qtable", "scenario-at-manifest"])
+def test_an_output_path_that_is_an_input_file_is_an_error_before_writing_anything(tmp_path, capsys, argv, output,
+                                                                                   path, read):
+    paths = {"policy": tmp_path / "p.csv", "link": tmp_path / "link", "out": tmp_path / "o"}
+    Policy.from_id("0123012301230123").to_file(paths["policy"])
+    paths["link"].symlink_to(paths["policy"])
+    paths["out"].mkdir()
+    (paths["out"] / "qtable.csv").write_text(json.dumps(TransitionModel.default().to_dict()), encoding="utf-8")
+    (paths["out"] / "manifest.json").write_text(json.dumps(ScenarioSpec.default().to_dict()), encoding="utf-8")
+    before = {file: file.is_file() and file.read_bytes() for file in tmp_path.rglob("*")}
+    code = main([arg.format(**paths) for arg in argv] + ["--out-dir", str(paths["out"])])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {output} path {path.format(**paths)} is the {read.format(**paths)}\n"
+    assert {file: file.is_file() and file.read_bytes() for file in tmp_path.rglob("*")} == before
 
 
 @pytest.mark.parametrize("command, output", [

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.cli import main
-from caresim.config import JsonText, read_name, render_json, write_csv, write_json, write_text
+from caresim.config import JsonText, read_float, read_name, render_json, write_csv, write_json, write_text
 from caresim.llm import _one_line
 
 DOCUMENTS = [TransitionModel, ScenarioSpec, RewardWeights]
@@ -204,3 +204,8 @@ def test_a_write_that_fails_partway_leaves_the_bytes_written_and_no_open_descrip
     assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
     assert transcript.read_bytes() == expected[:100]
     assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_read_float_reads_back_every_finite_float_as_repr_writes_it(value):
+    assert repr(read_float(repr(value), "cell")) == repr(value)

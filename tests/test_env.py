@@ -13,10 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caresim import CaregivingEnv, Policy, RewardWeights, ScenarioSpec, TransitionModel, compute_reward
+from caresim.env import _edge_table
+from caresim.scenario import MAX_EPISODE_STEPS, advance
 from caresim.states import ACTIONS, ALL_STATES, STATUS_NAMES
 
 FORGETFUL, CONFUSED, ANGRY, DISENGAGED = range(4)
@@ -186,8 +189,9 @@ def _play(env, seed):
 
 
 def _isolated(model, scenario, weights):
-    """An environment on equal but distinct scenario and weights objects: its edge table starts cold."""
-    return CaregivingEnv(model, replace(scenario), replace(weights))
+    """An environment whose edge table is built anew, shared with no environment built before it."""
+    _edge_table.cache_clear()
+    return CaregivingEnv(model, scenario, weights)
 
 
 def _reference_play(model, scenario, weights, seed):
@@ -209,10 +213,10 @@ def test_warm_edge_table_replays_like_a_fresh_environment(model, scenario, weigh
         fresh_trace = _play(_isolated(model, scenario, weights), seed)
         assert len(warm_trace) == len(fresh_trace)
         for (warm_step, warm_rng), (fresh_step, fresh_rng) in zip(warm_trace, fresh_trace):
-            assert fresh_step is not warm_step  # built anew by the cold table
+            assert fresh_step is not warm_step  # built anew with the fresh table
             assert tuple(warm_step) == tuple(fresh_step)
             assert warm_rng == fresh_rng
-        # a replay on the warm env returns the very step objects of the first, built when the slots filled
+        # a replay on the warm env returns the very step objects of the first, built with its table
         replay = _play(warm, seed)
         assert len(replay) == len(warm_trace)
         for (again, again_rng), (first, first_rng) in zip(replay, warm_trace):
@@ -256,9 +260,11 @@ def test_environments_sharing_model_and_scenario_keep_their_own_rewards(model, s
 
 
 def test_environments_on_the_same_scenario_and_weights_share_their_steps(model, scenario, weights):
-    first = CaregivingEnv(model, scenario, weights)
+    first = _isolated(model, scenario, weights)
     traces = [_play(first, seed) for seed in range(50)]
-    second = CaregivingEnv(model, scenario, weights)
+    # equal but distinct documents: the table goes by value
+    second = CaregivingEnv(model, replace(scenario), replace(weights))
+    assert second.scenario is not scenario and second.weights is not weights
     for seed, trace in enumerate(traces):
         again = _play(second, seed)
         assert len(again) == len(trace)
@@ -270,7 +276,7 @@ def test_environments_on_the_same_scenario_and_weights_share_their_steps(model, 
 def test_environments_built_alternately_on_two_weights_each_keep_their_own(model, scenario, weights):
     both = (weights, replace(weights, subtask_skip=weights.subtask_skip - 40))
     expected = [[_play(_isolated(model, scenario, w), seed) for seed in range(40)] for w in both]
-    # each construction replaces the process's remembered table; the envs built before keep theirs
+    # each construction builds its pair's table in place of the last one; the envs built before keep theirs
     envs = [(k, CaregivingEnv(model, scenario, both[k])) for k in (0, 1, 0, 1)]
     for seed in range(40):
         for k, env in envs:
@@ -301,3 +307,70 @@ def test_environments_on_two_models_share_the_table_but_step_their_own_model(mod
                 assert (tuple(step.next_state), step.reward, step.events._asdict(), step.done) == (
                     post, reward, events, done)
                 assert rng_state == ref_rng_state
+
+
+def _check_every_slot(scenario, weights):
+    """Each slot holds ``advance`` at its (node, all clear, action) and ``compute_reward`` on all 16 states."""
+    table = _edge_table(scenario, weights)
+    end = scenario.max_episode_steps
+    assert len(table) == end * 8
+    for node in range(end):
+        for all_clear in (False, True):
+            for action in ACTIONS:
+                next_node, events = advance(node, all_clear, action, scenario)
+                done = next_node == end
+                slot_node, skips, row = table[node << 3 | all_clear << 2 | action]
+                assert slot_node == next_node
+                assert skips is events.subtask_skipped
+                assert len(row) == len(ALL_STATES)
+                for state, step in zip(ALL_STATES, row):
+                    assert step.next_state is state
+                    assert step.reward == compute_reward(state, events, weights)
+                    assert step.events == events
+                    assert step.done is done
+
+
+def test_edge_table_of_the_shipped_documents_is_advance_plus_reward(scenario, weights):
+    _check_every_slot(scenario, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), reward_weights())
+def test_edge_table_is_advance_plus_reward_in_every_slot(scenario, weights):
+    _check_every_slot(scenario, weights)
+
+
+def test_a_scenario_of_one_subtask_tasks_at_the_step_limit_builds_its_table(weights):
+    # a position lookup that scanned the tasks would make this build quadratic: over half an hour
+    doc = {"name": "long", "max_trial": 1,
+           "tasks": [{"name": f"t{t}", "subtasks": ["s"]} for t in range(MAX_EPISODE_STEPS)]}
+    scenario = ScenarioSpec.from_dict(doc)
+    try:
+        table = _edge_table(scenario, weights)
+        assert len(table) == 8 * MAX_EPISODE_STEPS
+        # trial 0 is the last trial: every slot of the last node ends the episode
+        assert {edge[0] for edge in table[-8:]} == {MAX_EPISODE_STEPS}
+        assert all(edge[2][0].events.task_completed for edge in table)
+    finally:
+        _edge_table.cache_clear()
+
+
+def test_slots_with_equal_events_and_done_share_one_row(scenario, weights):
+    rows = {}
+    for _node, _skips, row in _edge_table(scenario, weights):
+        assert rows.setdefault((row[0].events, row[0].done), row) is row
+    # the shipped scenario: 4 actions completing (last subtask of a task or not, and the final one),
+    # a skip of each of the same three kinds, and a plain trial, for each action
+    assert len(rows) == 4 * 7
+
+
+def test_step_before_reset_and_after_the_last_step_are_errors(model, tiny_scenario, weights):
+    env = CaregivingEnv(model, tiny_scenario, weights)
+    with pytest.raises(RuntimeError, match="reset"):
+        env.step(ACTIONS[0])
+    env.reset(random.Random(0))
+    done = False
+    while not done:
+        done = env.step(ACTIONS[3]).done
+    with pytest.raises(ValueError, match="finished episode"):
+        env.step(ACTIONS[0])

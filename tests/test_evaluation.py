@@ -263,3 +263,9 @@ def test_every_snapshot_step_goes_through_env_step(model, scenario, weights, ste
                                          derive_seed(config.seed, "snapshot", rec.epoch), 15)
                          for rec in log.epochs)
     assert counted == training_steps + snapshot_steps
+
+
+@pytest.mark.parametrize("rollouts", [0, -1])
+def test_evaluate_policy_needs_at_least_one_rollout(model, scenario, weights, rollouts):
+    with pytest.raises(ValueError, match="num_rollouts must be >= 1"):
+        evaluate_policy(A0_EVERYWHERE, CaregivingEnv(model, scenario, weights), rollouts, 0)

@@ -242,6 +242,21 @@ def test_malformed_reply_surfaced_with_raw(raw, sleeps):
     assert (len(raw.requests), sleeps) == (2, [0.25])
 
 
+def test_reply_whose_content_is_not_a_string_is_malformed(raw, sleeps):
+    body = json.dumps({"choices": [{"message": {"role": "assistant", "content": 5}}]})
+    raw.script.extend([Reply(reply(200, body))] * 2)
+    with pytest.raises(BackendError, match="^malformed completion reply"):
+        raw_backend(raw, max_retries=1).client.complete([])
+    assert (len(raw.requests), sleeps) == (2, [0.25])
+
+
+def test_a_204_reply_has_no_body_and_keeps_the_connection(raw, sleeps):
+    # no Content-Length: a 204 ends at its header, so the next reply on the connection is read whole
+    raw.script.extend([Reply(b"HTTP/1.1 204 No Content\r\n\r\n"), Reply(ok_reply("done"))])
+    assert raw_backend(raw, max_retries=1).client.complete([]) == "done"
+    assert (len(raw.requests), raw.connections, sleeps) == (2, 1, [0.25])
+
+
 # valid JSON whose content decodes to a lone surrogate, which UTF-8 cannot encode
 _SURROGATE_REPLY = Reply(ok_reply(DEFAULT_REPLY + "\ud800"))
 
