@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .config import (ConfigError, is_number, read_csv, read_float, read_integer, read_number,
+from .config import (ConfigError, is_count, is_number, read_csv, read_float, read_integer, read_number,
                      require_probability, write_csv)
 from .env import CaregivingEnv
 from .reward import RewardWeights
@@ -105,11 +105,6 @@ class QTable:
         return cls([[read_float(cell, f"Q-value in {path}") for cell in row] for row in rows])
 
 
-def _is_count(text: str) -> bool:
-    """True for a non-empty string of ASCII digits; ``str.isdecimal`` also takes other scripts' digits."""
-    return text.isascii() and text.isdigit()
-
-
 def _read_state_rows(path: str | Path, header: list[str], kind: str) -> list[list[str]]:
     """The cells after the state index of a per-state CSV, ordered by state index.
 
@@ -117,7 +112,7 @@ def _read_state_rows(path: str | Path, header: list[str], kind: str) -> list[lis
     """
     rows: list[list[str] | None] = [None] * NUM_STATES
     for cells in read_csv(path, kind, header):
-        if len(cells) != len(header) or not _is_count(cells[0]):
+        if len(cells) != len(header) or not is_count(cells[0]):
             raise ConfigError(f"malformed {kind} row in {path}: {cells!r}")
         index = int(cells[0])
         if index >= NUM_STATES:
@@ -288,7 +283,7 @@ class TrainingLog:
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             kind, epoch, episode, epsilon, policy_id, mean = row
             number = epoch if kind == "snapshot" else episode
-            if not _is_count(number):
+            if not is_count(number):
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             if kind == "snapshot":
                 mean_return = read_float(mean, f"mean return in {path}") if mean else None

@@ -29,9 +29,10 @@ from .agent import (
     train,
 )
 from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
-from .config import ConfigError, read_bytes, require_probability, write_json, write_text
+from .config import ConfigError, integer, number, read_bytes, require_probability, write_json, write_text
 from .env import CaregivingEnv
 from .evaluation import (
+    EVALUATE_ROLLOUTS,
     SELECT_FINAL_ROLLOUTS,
     evaluate_policy,
     export_learning_curve,
@@ -58,7 +59,7 @@ def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="scenario config JSON (default: shipped shopping scenario)")
     parser.add_argument("--model", help="transition model config JSON (default: shipped calibration)")
     parser.add_argument("--weights", help="reward weights config JSON (default: shipped weights)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=integer, default=0)
     parser.add_argument("--out-dir", default="caresim_out", help="directory for run outputs")
 
 
@@ -199,7 +200,7 @@ def cmd_evaluate(args) -> int:
         actor = Policy.from_file(args.policy)
         resolved = {"mode": "policy", "policy": args.policy, "policy_id": actor.policy_id}
     # --rollouts < 1 was rejected above
-    rollouts = args.rollouts or (SELECT_FINAL_ROLLOUTS if args.select_final else 40)
+    rollouts = args.rollouts or (SELECT_FINAL_ROLLOUTS if args.select_final else EVALUATE_ROLLOUTS)
     resolved.update(rollouts=rollouts, seed=args.seed)
     _write_manifest(out_dir, args, environment, resolved, outputs)
 
@@ -282,21 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--schedule", choices=SCHEDULES, default="constant")
     # a setting left out is absent from args, so its config field keeps the dataclass default
     add_setting = partial(p_train.add_argument, default=argparse.SUPPRESS)
-    add_setting("--epsilon", type=float, help="constant exploration rate")
-    add_setting("--eps-min", type=float)
-    add_setting("--eps-max", type=float)
-    add_setting("--decay-rate", type=float,
+    add_setting("--epsilon", type=number, help="constant exploration rate")
+    add_setting("--eps-min", type=number)
+    add_setting("--eps-max", type=number)
+    add_setting("--decay-rate", type=number,
                 help="decay rate (default: ln(1.25)/300, about 7.438e-4, which gives epsilon 0.8 "
                      "at epoch 300 from eps_max 1)")
-    add_setting("--alpha", type=float)
-    add_setting("--gamma", type=float)
-    add_setting("--epochs", type=int)
-    add_setting("--episodes", type=int, dest="episodes_per_epoch", metavar="EPISODES")
-    add_setting("--snapshot-episode", type=int)
-    add_setting("--snapshot-rollouts", type=int,
+    add_setting("--alpha", type=number)
+    add_setting("--gamma", type=number)
+    add_setting("--epochs", type=integer)
+    add_setting("--episodes", type=integer, dest="episodes_per_epoch", metavar="EPISODES")
+    add_setting("--snapshot-episode", type=integer)
+    add_setting("--snapshot-rollouts", type=integer,
                 help="rollouts per epoch snapshot evaluation (0 disables)")
-    add_setting("--final-window", type=int, dest="final_policy_window", metavar="FINAL_WINDOW")
-    add_setting("--perception-noise", type=float,
+    add_setting("--final-window", type=integer, dest="final_policy_window", metavar="FINAL_WINDOW")
+    add_setting("--perception-noise", type=number,
                 help="train on noisily observed states instead of true states")
     p_train.set_defaults(func=cmd_train)
 
@@ -304,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_environment_flags(p_eval)
     p_eval.add_argument("--policy", help="policy file to evaluate")
     p_eval.add_argument("--baseline", choices=("random",), help="evaluate a baseline actor instead")
-    p_eval.add_argument("--rollouts", type=int, default=None,
-                        help=f"rollout count (default 40; {SELECT_FINAL_ROLLOUTS} for --select-final)")
+    p_eval.add_argument("--rollouts", type=integer, default=None,
+                        help=f"rollout count (default {EVALUATE_ROLLOUTS}; "
+                             f"{SELECT_FINAL_ROLLOUTS} for --select-final)")
     p_eval.add_argument("--select-final", action="store_true",
                         help="select the best late-training policy from a training log")
     p_eval.add_argument("--log", help="training log for --select-final")
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_environment_flags(p_sim)
     p_sim.add_argument("--policy", required=True)
     p_sim.add_argument("--backend", choices=("template", "http"), default="template")
-    p_sim.add_argument("--noise", type=float, default=0.0, help="perception bit-flip probability")
+    p_sim.add_argument("--noise", type=number, default=0.0, help="perception bit-flip probability")
     p_sim.add_argument("--use-perceived", action="store_true",
                        help="route decisions through the perceived state")
     add_setting = partial(p_sim.add_argument, default=argparse.SUPPRESS)
@@ -325,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--transcript", help="transcript path (default: OUT_DIR/transcript.txt)")
     p_sim.add_argument("--base-url", help="chat-completions endpoint base URL (http backend)")
     p_sim.add_argument("--llm-model", help="model name for the http backend")
-    add_setting("--temperature", type=float)
-    add_setting("--timeout-ms", type=int)
-    add_setting("--max-retries", type=int)
+    add_setting("--temperature", type=number)
+    add_setting("--timeout-ms", type=integer)
+    add_setting("--max-retries", type=integer)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -7,6 +7,13 @@ render their text and hand it to it, and the transcript goes to it directly.
 that a document has already rendered (``Document.indented_json``).
 Every value is checked where it is read and never coerced: a string, a boolean
 or a non-finite number where a number belongs is an error.
+
+Every rule that turns outside text into a number is here, and the command-line
+flags go through the same ones as the files: ``parse_float`` reads a CSV cell
+(``read_float``) and a float flag (``number``), ``is_count`` a CSV count and
+``integer`` an integer flag. A zero that configures a run (a flag, a
+probability, a reward weight) is read as 0.0, so documents equal in value are
+equal values with equal text; an artifact cell keeps its sign.
 """
 
 from __future__ import annotations
@@ -190,20 +197,50 @@ def read_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def read_float(cell: str, where: str) -> float:
-    """A CSV cell as a float, held to the finite-number rule of ``read_number``.
+def parse_float(text: str) -> float:
+    """``float(text)`` for text written as ``repr`` writes a float; ValueError for any other.
 
-    The cell must be ASCII with no whitespace around it and no ``_``, as
-    ``repr`` writes a float; ``float`` alone also takes those, and other
-    scripts' digits.
+    The text must be ASCII with no whitespace around it and no ``_``;
+    ``float`` alone also takes those, and other scripts' digits. ``nan``,
+    ``inf`` and ``-0.0`` are read: what range a number may take is the
+    rule of the field that holds it.
     """
-    value: Any = cell  # a cell left as text is not a number: read_number rejects it and shows it
-    if cell.isascii() and "_" not in cell and cell.strip() == cell:
-        try:
-            value = float(cell)
-        except ValueError:
-            pass
+    if not (text.isascii() and "_" not in text and text.strip() == text):
+        raise ValueError(f"not a number as repr writes one: {text!r}")
+    return float(text)
+
+
+def read_float(cell: str, where: str) -> float:
+    """A CSV cell as a float by ``parse_float``, held to the finite-number rule of ``read_number``.
+
+    The cell is read exactly: ``-0.0`` stays ``-0.0``.
+    """
+    try:
+        value: Any = parse_float(cell)
+    except ValueError:
+        value = cell  # a cell left as text is not a number: read_number rejects it and shows it
     return read_number(value, where)
+
+
+def is_count(text: str) -> bool:
+    """True for a non-empty string of ASCII digits; ``str.isdecimal`` also takes other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
+def number(text: str) -> float:
+    """A float flag by ``parse_float``, with ``-0.0`` read as ``0.0``; the ``type`` of every one."""
+    return parse_float(text) + 0.0  # -0.0 + 0.0 is 0.0; every other value stays as it is
+
+
+def integer(text: str) -> int:
+    """An integer flag: ASCII digits with an optional leading ``-``; the ``type`` of every one.
+
+    ``int`` alone also takes whitespace around the digits, ``_``, ``+`` and
+    other scripts' digits.
+    """
+    if not is_count(text.removeprefix("-")):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
 
 
 def read_integer(value: Any, where: str, minimum: int | None = None) -> int:
@@ -216,9 +253,10 @@ def read_integer(value: Any, where: str, minimum: int | None = None) -> int:
 
 
 def require_probability(value: Any, where: str) -> float:
+    """``value`` as a float if it is a number in [0, 1], with ``-0.0`` read as ``0.0``."""
     if not (is_number(value) and 0.0 <= value <= 1.0):
         raise ConfigError(f"{where} must be in [0, 1], got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def read_name(value: Any, where: str) -> str:

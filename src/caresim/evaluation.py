@@ -36,6 +36,8 @@ Actor = Callable[[int, random.Random], AssistAction]
 # final-policy selection protocol: the most frequent late policies, and rollouts per candidate
 SELECT_FINAL_CANDIDATES = 5
 SELECT_FINAL_ROLLOUTS = 10000
+# rollouts of ``caresim evaluate --policy`` or ``--baseline`` when ``--rollouts`` is not given
+EVALUATE_ROLLOUTS = 40
 
 
 def random_actor(state: int, rng: random.Random) -> AssistAction:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +18,8 @@ import caresim.cli
 from caresim import AssistAction, CaregivingEnv, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.agent import ConstantEpsilon, EpochRecord, ExponentialDecayEpsilon, QTable, TrainingConfig, TrainingLog
 from caresim.cli import main
+from caresim.env import _edge_table
+from caresim.reward import MAX_WEIGHT
 
 SMOKE_TRAIN = [
     "train",
@@ -402,15 +406,20 @@ def test_undecodable_input_file_is_an_error_before_writing_manifest(tmp_path, ca
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-def run_on_scenario(tmp_path, command: str, doc: dict) -> int:
-    """``caresim train``, ``evaluate`` or ``simulate`` on the scenario ``doc``, into ``tmp_path/o``."""
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+def run_on_document(tmp_path, command: str, flag: str, doc: dict) -> int:
+    """``caresim train``, ``evaluate`` or ``simulate`` with ``doc`` as the ``flag`` file, into ``tmp_path/o``."""
+    path = tmp_path / f"{flag[2:]}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     policy = tmp_path / "policy.csv"
     Policy((AssistAction.NO_ASSISTANCE,) * 16).to_file(policy)
     argv = {"train": SMOKE_TRAIN, "evaluate": ["evaluate", "--baseline", "random"],
             "simulate": ["simulate", "--policy", str(policy)]}[command]
-    return main([*argv, "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
+    return main([*argv, flag, str(path), "--out-dir", str(tmp_path / "o")])
+
+
+def run_on_scenario(tmp_path, command: str, doc: dict) -> int:
+    """``caresim train``, ``evaluate`` or ``simulate`` on the scenario ``doc``, into ``tmp_path/o``."""
+    return run_on_document(tmp_path, command, "--scenario", doc)
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
@@ -419,6 +428,73 @@ def test_a_scenario_over_the_step_limit_is_an_error_before_writing_manifest(tmp_
     assert run_on_scenario(tmp_path, command, doc) == 1
     assert capsys.readouterr().err.startswith(f"error: scenario allows {10**17} steps")
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def _weights_at(value: float, signs: str) -> dict:
+    """Every reward weight at ``value`` in magnitude: all positive, all negative, or with the shipped signs."""
+    shipped = RewardWeights.default().to_dict()
+    sign = {"plus": lambda w: 1.0, "minus": lambda w: -1.0, "shipped": lambda w: math.copysign(1.0, w)}[signs]
+    doc = {name: value * sign(w) for name, w in shipped.items() if name != "assist"}
+    doc["assist"] = {code: value * sign(w) for code, w in shipped["assist"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+@pytest.mark.parametrize("weight", [1e308, math.nextafter(MAX_WEIGHT, math.inf)], ids=["1e308", "above-bound"])
+@pytest.mark.parametrize("signs", ["plus", "shipped"])
+def test_a_weight_beyond_the_bound_is_an_error_before_writing_manifest(tmp_path, capsys, command, weight, signs):
+    assert run_on_document(tmp_path, command, "--weights", _weights_at(weight, signs)) == 1
+    assert re.match(r"error: \w+ must be at most 1e\+12 in magnitude", capsys.readouterr().err)
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("signs", ["plus", "minus", "shipped"])
+def test_every_output_is_finite_with_every_weight_at_the_bound(tmp_path, signs):
+    doc = _weights_at(MAX_WEIGHT, signs)
+    for command in ("train", "evaluate", "simulate"):
+        (tmp_path / command).mkdir()
+        assert run_on_document(tmp_path / command, command, "--weights", doc) == 0
+    q_values = [float(cell) for row in QTable.from_file(tmp_path / "train" / "o" / "qtable.csv").values
+                for cell in row]
+    report = json.loads((tmp_path / "evaluate" / "o" / "evaluation_report.json").read_text())[0]
+    transcript = (tmp_path / "simulate" / "o" / "transcript.txt").read_text(encoding="utf-8")
+    total = float(re.search(r"^Return: (\S+)$", transcript, re.MULTILINE).group(1))
+    assert all(map(math.isfinite, [*q_values, report["mean_return"], report["std_return"], total]))
+    assert max(map(abs, q_values)) > 1e12  # the weights reached the table
+
+
+def _simulate_with_zero(folder: Path, policy: Path, zero: str, case: str) -> tuple[bytes, str]:
+    """The transcript and the manifest's config of ``simulate`` with ``zero`` set in the ``case`` input."""
+    argv = ["simulate", "--policy", str(policy), "--out-dir", str(folder)]
+    if case == "--noise":
+        argv += ["--noise", zero]
+    else:
+        # every weight zero, or no anger onset without a cause
+        doc = _weights_at(float(zero), "plus") if case == "--weights" else TransitionModel.default().to_dict()
+        if case == "--model":
+            doc["base_onset"]["angry"] = float(zero)
+        path = folder.parent / f"{folder.name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += [case, str(path)]
+    assert main(argv) == 0
+    manifest = json.loads((folder / "manifest.json").read_text())
+    return (folder / "transcript.txt").read_bytes(), json.dumps(manifest["config"])
+
+
+@pytest.mark.parametrize("case", ["--weights", "--model", "--noise"])
+def test_a_negative_zero_configures_a_run_as_zero_in_either_order_in_one_process(tmp_path, case):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    # 0.0 then -0.0 then 0.0 covers both orders; the last run builds its environment afresh
+    runs = [_simulate_with_zero(tmp_path / str(i), policy, zero, case) for i, zero in enumerate(["0.0", "-0.0", "0.0"])]
+    _edge_table.cache_clear()
+    runs.append(_simulate_with_zero(tmp_path / "fresh", policy, "-0.0", case))
+    assert len(set(runs)) == 1
+    transcript, config = runs[0]
+    assert b"Reward: -0\n" not in transcript and "-0.0" not in config
+    assert b"\nPerception noise: 0  decisions use" in transcript
+    if case == "--noise":
+        assert json.loads(config)["noise"] == 0.0
 
 
 _ONE_LINE = "one line without leading or trailing whitespace"
@@ -637,6 +713,51 @@ def test_usage_errors_exit_1_before_writing_manifest(tmp_path, capsys, argv):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: caresim")
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+# every numeric flag once, under a command that takes it (--seed is one flag of all three)
+NUMERIC_FLAGS = [
+    ("train", flag) for flag in ("--seed", "--epsilon", "--eps-min", "--eps-max", "--decay-rate", "--alpha",
+                                 "--gamma", "--epochs", "--episodes", "--snapshot-episode", "--snapshot-rollouts",
+                                 "--final-window", "--perception-noise")
+] + [("evaluate", "--rollouts")] + [
+    ("simulate", flag) for flag in ("--noise", "--temperature", "--timeout-ms", "--max-retries")
+]
+
+
+def test_the_numeric_flag_cases_are_every_numeric_flag():
+    typed = {
+        node.args[0].value
+        for node in ast.walk(ast.parse(Path(caresim.cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+        and any(keyword.arg == "type" for keyword in node.keywords)
+    }
+    assert len(NUMERIC_FLAGS) == 18 and typed == {flag for _, flag in NUMERIC_FLAGS}
+
+
+# Arabic-Indic one, fullwidth five, a digit group separator and a leading space: int and float
+# read them all, a CSV cell none
+@pytest.mark.parametrize("value", ["\u0661", "\uff15", "1_0", " 5"], ids=["arabic-indic", "fullwidth", "underscore",
+                                                                        "space"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+def test_a_numeric_flag_reads_only_ascii_numbers(tmp_path, capsys, command, flag, value):
+    argv = {"train": ["train"], "evaluate": ["evaluate", "--baseline", "random"],
+            "simulate": ["simulate", "--policy", str(tmp_path / "policy.csv")]}[command]
+    assert main([*argv, flag, value, "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: caresim {command}: argument {flag}: invalid ")
+    assert err.rstrip().endswith(f"value: {value!r}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+def test_a_negative_seed_still_runs(tmp_path, command):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    argv = {"train": SMOKE_TRAIN, "evaluate": ["evaluate", "--baseline", "random", "--rollouts", "2"],
+            "simulate": ["simulate", "--policy", str(policy)]}[command]
+    assert main([*argv, "--seed", "-1", "--out-dir", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["seed"] == -1
 
 
 def test_cli_import_builds_no_parser_and_reads_no_default():

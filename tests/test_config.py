@@ -3,8 +3,10 @@ and the one writer that every artifact goes through."""
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
+import math
 import os
 import stat
 import threading
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 
 from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.cli import main
-from caresim.config import JsonText, read_float, read_name, render_json, write_csv, write_json, write_text
+from caresim.config import (JsonText, integer, number, parse_float, read_float, read_name, render_json,
+                            write_csv, write_json, write_text)
 from caresim.llm import _one_line
+from caresim.reward import MAX_WEIGHT
 
 DOCUMENTS = [TransitionModel, ScenarioSpec, RewardWeights]
 
@@ -209,3 +213,85 @@ def test_a_write_that_fails_partway_leaves_the_bytes_written_and_no_open_descrip
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_read_float_reads_back_every_finite_float_as_repr_writes_it(value):
     assert repr(read_float(repr(value), "cell")) == repr(value)
+
+
+# text that the builtin int and float read but no artifact writes: other scripts' digits, a
+# digit group separator, whitespace around the number
+_FOREIGN_NUMBERS = ["\u0661", "\uff15", "\u0660.\u0665", "1_0", " 5", "5 ", "5\n"]
+
+
+@pytest.mark.parametrize("text", _FOREIGN_NUMBERS + ["", "abc", "0x10"])
+def test_number_text_is_read_only_as_repr_writes_it(text):
+    for reader in (parse_float, number, integer):
+        with pytest.raises(ValueError):
+            reader(text)
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        read_float(text, "cell")
+
+
+@pytest.mark.parametrize("text", ["+1", "1.0", "1e3", "--1", "-", "-\u0661"])
+def test_an_integer_is_ascii_digits_with_an_optional_minus(text):
+    with pytest.raises(ValueError):
+        integer(text)
+
+
+def test_a_number_reader_leaves_the_range_to_the_field_that_owns_it():
+    assert [integer(text) for text in ("0", "-1", "007", "-0")] == [0, -1, 7, 0]
+    assert integer("9" * 20) == 10**20 - 1
+    assert math.isnan(number("nan")) and number("-inf") == -math.inf and number("1e3") == 1000.0
+
+
+def test_a_flag_reads_a_zero_as_positive_and_a_cell_keeps_its_sign():
+    assert math.copysign(1.0, number("-0.0")) == 1.0 and math.copysign(1.0, number("-0")) == 1.0
+    assert math.copysign(1.0, read_float("-0.0", "cell")) == -1.0
+
+
+def _all_weights(value: float) -> dict:
+    doc = RewardWeights.default().to_dict()
+    return {**{name: value for name in doc if name != "assist"}, "assist": {code: value for code in doc["assist"]}}
+
+
+def _model_with(zero: float) -> dict:
+    doc = TransitionModel.default().to_dict()
+    doc["base_onset"]["angry"] = zero
+    doc["influence"]["angry"]["forgetful"] = zero
+    doc["assist_overrides"]["a1"]["angry"]["onset"] = zero
+    return doc
+
+
+@pytest.mark.parametrize("cls, build", [(RewardWeights, _all_weights), (TransitionModel, _model_with)])
+def test_documents_that_differ_only_in_the_sign_of_a_zero_are_one_value(cls, build):
+    positive, negative = cls.from_dict(build(0.0)), cls.from_dict(build(-0.0))
+    assert positive == negative and hash(positive) == hash(negative)
+    assert positive.indented_json == negative.indented_json
+    assert "-0" not in negative.indented_json
+
+
+def test_reward_weights_hold_floats_whatever_builds_them():
+    ints = RewardWeights.from_dict({**_all_weights(1), "angry": -5})
+    assert ints == RewardWeights.from_dict({**_all_weights(1.0), "angry": -5.0})
+    assert ints.indented_json == RewardWeights.from_dict({**_all_weights(1.0), "angry": -5.0}).indented_json
+    assert all(type(cost) is float for cost in dataclasses.replace(ints, assist=(0, -1, -2, -3)).assist)
+    assert math.copysign(1.0, dataclasses.replace(ints, angry=-0.0).angry) == 1.0
+
+
+@pytest.mark.parametrize("weight", [1e308, math.nextafter(MAX_WEIGHT, math.inf), -1e13])
+def test_a_weight_beyond_the_bound_is_a_config_error_however_the_value_is_built(weight):
+    with pytest.raises(ConfigError, match=r"^task_complete must be at most 1e\+12 in magnitude"):
+        RewardWeights.from_dict({**RewardWeights.default().to_dict(), "task_complete": weight})
+    with pytest.raises(ConfigError, match=r"^angry must be at most"):
+        dataclasses.replace(RewardWeights.default(), angry=weight)
+    with pytest.raises(ConfigError, match=r"^assist\.a2 must be at most"):
+        dataclasses.replace(RewardWeights.default(), assist=(0.0, 0.0, weight, 0.0))
+
+
+def test_a_weight_at_the_bound_is_a_weight():
+    for value in (MAX_WEIGHT, -MAX_WEIGHT):
+        assert RewardWeights.from_dict(_all_weights(value)).assist == (value,) * 4
+
+
+@pytest.mark.parametrize("assist, message", [((0.0, 1.0), "assist must be a tuple of 4 costs"),
+                                             ((0.0, 1.0, "2", 3.0), "assist.a2 must be a finite number")])
+def test_a_replaced_assist_cost_is_checked_like_a_read_one(assist, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(RewardWeights.default(), assist=assist)

@@ -3,7 +3,8 @@
 That surface is what the acceptance suite imports from ``caresim``, at the
 top of the module or inside a test body, plus ``ConfigError``, which every
 malformed input raises. No module of the package keeps an import it never uses,
-and only ``caresim.config`` opens, reads or writes files.
+only ``caresim.config`` opens, reads or writes files, and no command-line flag
+reads its number with the builtin ``int`` or ``float``.
 """
 
 from __future__ import annotations
@@ -95,3 +96,17 @@ def test_no_module_reads_another_objects_private_attribute():
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert reads == []
+
+
+def test_no_flag_reads_its_number_with_a_builtin():
+    # ``int`` and ``float`` take other scripts' digits, ``_`` and surrounding whitespace; a flag's
+    # number is read by ``config.integer`` or ``config.number``, as a CSV cell is
+    cli = Path(caresim.__file__).with_name("cli.py")
+    builtin = [
+        f"cli.py:{node.lineno} type={keyword.value.id}"
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "type" and isinstance(keyword.value, ast.Name) and keyword.value.id in ("int", "float")
+    ]
+    assert builtin == []
