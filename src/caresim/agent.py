@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
-from .config import (ConfigError, is_count, is_number, read_csv, read_float, read_integer, read_number,
-                     require_probability, write_csv)
+from .config import (ConfigError, documents_to_dict, is_count, is_number, read_choice, read_config, read_csv,
+                     read_float, read_integer, read_number, require_probability, settings, write_csv)
 from .env import CaregivingEnv
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
@@ -39,6 +39,9 @@ from .transition import TransitionModel
 @dataclass(frozen=True)
 class ConstantEpsilon:
     epsilon: float = 0.1
+    # not fields (no annotation): the schedule's ``--schedule`` name, and its learning curve's strategy
+    name = "constant"
+    label = "constant-epsilon"
 
     def __post_init__(self) -> None:
         require_probability(self.epsilon, "epsilon")
@@ -54,6 +57,8 @@ class ExponentialDecayEpsilon:
     eps_min: float = 0.03
     eps_max: float = 1.0
     decay_rate: float = DEFAULT_DECAY_RATE
+    name = "decay"
+    label = "decaying-epsilon"
 
     def __post_init__(self) -> None:
         if not require_probability(self.eps_min, "eps_min") <= require_probability(self.eps_max, "eps_max"):
@@ -63,6 +68,7 @@ class ExponentialDecayEpsilon:
 
 
 EpsilonSchedule = Union[ConstantEpsilon, ExponentialDecayEpsilon]
+SCHEDULES = {schedule.name: schedule for schedule in (ConstantEpsilon, ExponentialDecayEpsilon)}
 
 
 def epsilon_at(schedule: EpsilonSchedule, epoch: int) -> float:
@@ -163,7 +169,7 @@ def q_update(
 _DIGITS = "0123"  # the policy-id character of each action index
 
 
-def _is_policy_id(text: str) -> bool:
+def is_policy_id(text: str) -> bool:
     """True for a string of 16 action indexes, each 0-3."""
     return len(text) == NUM_STATES and not text.strip(_DIGITS)
 
@@ -189,7 +195,7 @@ class Policy:
 
     @classmethod
     def from_id(cls, policy_id: str) -> "Policy":
-        if not _is_policy_id(policy_id):
+        if not is_policy_id(policy_id):
             raise ValueError(f"malformed policy id: {policy_id!r}")
         return cls(tuple([ACTIONS[int(c)] for c in policy_id]))
 
@@ -250,6 +256,20 @@ class TrainingConfig:
         read_integer(self.final_policy_window, "final_policy_window", 0)
         require_probability(self.perception_noise, "perception_noise")
 
+    def to_dict(self) -> dict:
+        """A ``train`` manifest's ``config``: the schedule by name and its settings, then every other setting."""
+        plain = {name: getattr(self, name) for name in settings(TrainingConfig)}
+        return {"schedule": self.schedule.name, **asdict(self.schedule), **plain, **documents_to_dict(self)}
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "TrainingConfig":
+        """The value whose ``to_dict`` is ``doc``."""
+        name = doc.get("schedule") if isinstance(doc, dict) else None
+        schedule = SCHEDULES[read_choice(name, "schedule", SCHEDULES)]
+        doc, documents = read_config(doc, "train config", ["schedule", *settings(schedule), *settings(cls)])
+        return cls(**documents, schedule=schedule(**{key: doc[key] for key in settings(schedule)}),
+                   **{key: doc[key] for key in settings(cls)})
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -279,7 +299,7 @@ class TrainingLog:
         """Parse a training log; ``data`` is the file's bytes if the caller has already read them."""
         log = cls()
         for row in read_csv(path, "training log", cls._header, data):
-            if len(row) != 6 or row[0] not in ("snapshot", "final") or not _is_policy_id(row[4]):
+            if len(row) != 6 or row[0] not in ("snapshot", "final") or not is_policy_id(row[4]):
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             kind, epoch, episode, epsilon, policy_id, mean = row
             number = epoch if kind == "snapshot" else episode

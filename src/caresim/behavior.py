@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .config import ConfigError, read_name, require_probability
+from .config import ConfigError, read_choice, read_name, require_probability
 from .states import ALL_STATES, STATUS_NAMES, AssistAction, StatusVector, flip_index
 
 HISTORY_CAP = 20  # exchanges kept in InteractionContext.history
@@ -80,8 +80,7 @@ class PromptVariant:
     include_state: bool = False
 
     def __post_init__(self) -> None:
-        if read_name(self.guidance, "guidance") not in ASSIST_GUIDANCE:
-            raise ConfigError(f"guidance must be {' or '.join(map(repr, ASSIST_GUIDANCE))}, got {self.guidance!r}")
+        read_choice(read_name(self.guidance, "guidance"), "guidance", ASSIST_GUIDANCE)
         if not isinstance(self.include_state, bool):
             raise ConfigError(f"include_state must be a boolean, got {self.include_state!r}")
 

@@ -1,9 +1,12 @@
 """Command-line entry point: train, evaluate, simulate.
 
-Every command writes a run manifest (all resolved configuration, seed,
-version, timestamps, output paths) before producing any other output, so
-a run can be replayed exactly. Defaults reproduce the constant-epsilon
-training setup, so a bare ``caresim train`` is the reference experiment.
+Every command builds one checked configuration value (``TrainingConfig``,
+``EvaluateConfig`` or ``SimulateConfig``) and runs from it. Before producing
+any other output it writes a run manifest: the value's ``to_dict()``, which
+the value's ``from_dict`` rebuilds, the package and Python versions, a
+timestamp and the output paths, so a run can be replayed exactly. Defaults
+reproduce the constant-epsilon training setup, so a bare ``caresim train``
+is the reference experiment.
 """
 
 from __future__ import annotations
@@ -12,28 +15,19 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
-from .agent import (
-    ConstantEpsilon,
-    ExponentialDecayEpsilon,
-    Policy,
-    QTable,
-    TrainingConfig,
-    TrainingLog,
-    extract_policy,
-    train,
-)
+from .agent import SCHEDULES, Policy, QTable, TrainingConfig, TrainingLog, extract_policy, train
 from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
-from .config import ConfigError, integer, number, read_bytes, require_probability, write_json, write_text
+from .config import ConfigError, Document, integer, number, read_bytes, settings, write_json, write_text
 from .env import CaregivingEnv
 from .evaluation import (
     EVALUATE_ROLLOUTS,
     SELECT_FINAL_ROLLOUTS,
+    EvaluateConfig,
     evaluate_policy,
     export_learning_curve,
     export_report,
@@ -42,17 +36,17 @@ from .evaluation import (
 )
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
-from .session import run_session
+from .session import SimulateConfig, run_session
 from .transition import TransitionModel
 
-SCHEDULES = {"constant": ConstantEpsilon, "decay": ExponentialDecayEpsilon}
 
-
-def _load_environment(args) -> tuple[TransitionModel, ScenarioSpec, RewardWeights]:
-    model = TransitionModel.from_file(args.model) if args.model else TransitionModel.default()
-    scenario = ScenarioSpec.from_file(args.scenario) if args.scenario else ScenarioSpec.default()
-    weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights.default()
-    return model, scenario, weights
+def _load_environment(args) -> dict[str, Document]:
+    """The run's model, scenario and weights, each under the name of the field that holds it in a value."""
+    return {
+        "model": TransitionModel.from_file(args.model) if args.model else TransitionModel.default(),
+        "scenario": ScenarioSpec.from_file(args.scenario) if args.scenario else ScenarioSpec.default(),
+        "weights": RewardWeights.from_file(args.weights) if args.weights else RewardWeights.default(),
+    }
 
 
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,18 +57,13 @@ def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default="caresim_out", help="directory for run outputs")
 
 
-def _settings(cls) -> list[str]:
-    """The fields of a config dataclass that have a default, i.e. that an option may set."""
-    return [f.name for f in fields(cls) if f.default is not MISSING]
-
-
 def _from_args(cls, args, **required):
     """``cls(**required)`` plus the defaulted fields of ``cls`` that an option set.
 
     Only defaulted fields: ``args.model`` is the transition-model path, not a ``model`` field.
     """
     given = vars(args)
-    return cls(**required, **{name: given[name] for name in _settings(cls) if name in given})
+    return cls(**required, **{name: given[name] for name in settings(cls) if name in given})
 
 
 def _reject_options(args, names, mode: str) -> None:
@@ -97,14 +86,15 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
     return status.st_dev, status.st_ino
 
 
-def _write_manifest(out_dir: Path, args, environment: tuple, resolved: dict, outputs: dict[str, str]) -> None:
+def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
-    An output path that is a directory, the manifest, or a file the command
-    read (by device and inode, so a symlink or another spelling is caught)
-    is an error, and the directories that will hold the outputs are created,
-    so no manifest is left by a run that could not write its outputs there
-    and no run replaces its own input. The manifest text is
+    ``config`` is the ``to_dict()`` of the value the command runs. An output
+    path that is a directory, the manifest, or a file the command read (by
+    device and inode, so a symlink or another spelling is caught) is an
+    error, and the directories that will hold the outputs are created, so no
+    manifest is left by a run that could not write its outputs there and no
+    run replaces its own input. The manifest text is
     ``json.dumps(manifest, indent=2)`` and a newline; each document's part
     of it is the text the document rendered on first use (``indented_json``).
     """
@@ -125,13 +115,12 @@ def _write_manifest(out_dir: Path, args, environment: tuple, resolved: dict, out
             raise ConfigError(f"{name} path {path} is the {read[file_id]}")
     for parent in dict.fromkeys([out_dir, *(Path(path).parent for path in outputs.values())]):
         parent.mkdir(parents=True, exist_ok=True)
-    model, scenario, weights = environment
     write_json(manifest, {
         "command": args.command,
         "version": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": {**resolved, "transition_model": model.indented_json, "scenario": scenario.indented_json,
-                   "reward_weights": weights.indented_json},
+        "config": config,
         "outputs": outputs,
     })
 
@@ -139,26 +128,21 @@ def _write_manifest(out_dir: Path, args, environment: tuple, resolved: dict, out
 def cmd_train(args) -> int:
     for name, cls in SCHEDULES.items():
         if name != args.schedule:
-            _reject_options(args, _settings(cls), f"--schedule {args.schedule}")
-    model, scenario, weights = environment = _load_environment(args)
-    schedule = _from_args(SCHEDULES[args.schedule], args)
-    config = _from_args(TrainingConfig, args, model=model, scenario=scenario, weights=weights,
-                        schedule=schedule)
+            _reject_options(args, settings(cls), f"--schedule {args.schedule}")
+    config = _from_args(TrainingConfig, args, **_load_environment(args),
+                        schedule=_from_args(SCHEDULES[args.schedule], args))
 
     out_dir = Path(args.out_dir)
     outputs = {name: str(out_dir / f"{name}.csv")
                for name in ("qtable", "policy", "training_log", "learning_curve")}
-    plain = {name: getattr(config, name) for name in _settings(TrainingConfig)}
-    resolved = {"schedule": args.schedule, **asdict(schedule), **plain}
-    _write_manifest(out_dir, args, environment, resolved, outputs)
+    _write_manifest(out_dir, args, config.to_dict(), outputs)
 
     q, log = train(config)
     policy = extract_policy(q)
     q.to_file(outputs["qtable"])
     policy.to_file(outputs["policy"])
     log.to_file(outputs["training_log"])
-    strategy = "constant-epsilon" if args.schedule == "constant" else "decaying-epsilon"
-    export_learning_curve(outputs["learning_curve"], log, strategy)
+    export_learning_curve(outputs["learning_curve"], log, config.schedule.label)
 
     # exit 0 only if everything written round-trips
     QTable.from_file(outputs["qtable"])
@@ -179,10 +163,9 @@ def cmd_evaluate(args) -> int:
     if modes != 1 or bool(args.log) != args.select_final:
         raise ConfigError("give exactly one of --policy FILE, --baseline random "
                           "or --select-final --log FILE")
-    if args.rollouts is not None and args.rollouts < 1:
-        raise ConfigError(f"--rollouts must be >= 1, got {args.rollouts}")
-    environment = _load_environment(args)
-    env = CaregivingEnv(*environment)
+    rollouts = SELECT_FINAL_ROLLOUTS if args.select_final else EVALUATE_ROLLOUTS
+    evaluate_config = partial(EvaluateConfig, **_load_environment(args), seed=args.seed,
+                              rollouts=rollouts if args.rollouts is None else args.rollouts)
     out_dir = Path(args.out_dir)
     outputs = {"report": str(out_dir / "evaluation_report.json")}
 
@@ -192,26 +175,24 @@ def cmd_evaluate(args) -> int:
         log = TrainingLog.from_file(args.log, data)
         if not log.final_policies:
             raise ConfigError(f"training log {args.log} has no final-window policy records")
-        resolved = {"mode": "select-final", "log": args.log, "log_sha256": hashlib.sha256(data).hexdigest()}
+        config = evaluate_config(mode="select-final", log=args.log, log_sha256=hashlib.sha256(data).hexdigest())
         outputs["final_policy"] = str(out_dir / "final_policy.csv")
     elif args.baseline == "random":
-        actor, resolved = random_actor, {"mode": "baseline-random", "policy": None}
+        actor, config = random_actor, evaluate_config(mode="baseline-random")
     else:
         actor = Policy.from_file(args.policy)
-        resolved = {"mode": "policy", "policy": args.policy, "policy_id": actor.policy_id}
-    # --rollouts < 1 was rejected above
-    rollouts = args.rollouts or (SELECT_FINAL_ROLLOUTS if args.select_final else EVALUATE_ROLLOUTS)
-    resolved.update(rollouts=rollouts, seed=args.seed)
-    _write_manifest(out_dir, args, environment, resolved, outputs)
+        config = evaluate_config(mode="policy", policy=args.policy, policy_id=actor.policy_id)
+    _write_manifest(out_dir, args, config.to_dict(), outputs)
 
+    env = CaregivingEnv(config.model, config.scenario, config.weights)
     if args.select_final:
-        best, reports = select_final_policy(log, env, rollouts=rollouts, base_seed=args.seed)
+        best, reports = select_final_policy(log, env, rollouts=config.rollouts, base_seed=config.seed)
         for report in reports:
             print(report.summary())
         print(f"selected final policy: {best.policy_id}")
         best.to_file(outputs["final_policy"])
     else:
-        reports = [evaluate_policy(actor, env, rollouts, args.seed)]
+        reports = [evaluate_policy(actor, env, config.rollouts, config.seed)]
         print(reports[0].summary())
     export_report(outputs["report"], reports)
     return 0
@@ -219,37 +200,31 @@ def cmd_evaluate(args) -> int:
 
 def cmd_simulate(args) -> int:
     environment = _load_environment(args)
-    env = CaregivingEnv(*environment)
     policy = Policy.from_file(args.policy)
-    variant = _from_args(PromptVariant, args)
-    require_probability(args.noise, "--noise")
-
-    http_config = None
+    http = None
     if args.backend == "http":
         if not args.base_url or not args.llm_model:
             raise ConfigError("--backend http requires --base-url and --llm-model")
         # the HTTP stack (http.client, ssl) loads only for this backend
         from .llm import HttpBackend, HttpBackendConfig
 
-        http_config = _from_args(HttpBackendConfig, args, base_url=args.base_url,
-                                 model=args.llm_model)
-        backend = HttpBackend(http_config)
+        http = _from_args(HttpBackendConfig, args, base_url=args.base_url, model=args.llm_model)
     else:
         _reject_options(args, ("base_url", "llm_model", "temperature", "timeout_ms", "max_retries"),
                         "--backend template")
-        backend = TemplateBackend()
+    config = _from_args(SimulateConfig, args, **environment, policy=args.policy, policy_id=policy.policy_id,
+                        variant=_from_args(PromptVariant, args), http=http)
+    env = CaregivingEnv(config.model, config.scenario, config.weights)
+    backend = HttpBackend(http) if http is not None else TemplateBackend()
 
     out_dir = Path(args.out_dir)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.txt"
-    resolved = {"policy": args.policy, "policy_id": policy.policy_id, "backend": args.backend,
-                "noise": args.noise, "use_perceived": args.use_perceived, **asdict(variant),
-                "seed": args.seed, "http": asdict(http_config) if http_config is not None else None}
     try:
-        _write_manifest(out_dir, args, environment, resolved, {"transcript": str(transcript_path)})
-        result = run_session(policy, env, backend, seed=args.seed, noise=args.noise,
-                             use_perceived=args.use_perceived, variant=variant)
+        _write_manifest(out_dir, args, config.to_dict(), {"transcript": str(transcript_path)})
+        result = run_session(policy, env, backend, seed=config.seed, noise=config.noise,
+                             use_perceived=config.use_perceived, variant=config.variant)
     finally:
-        if http_config is not None:
+        if http is not None:
             backend.close()
     write_text(transcript_path, result.transcript)
     print(f"episode return {result.total_return:g} over {result.timesteps} timesteps")

@@ -24,6 +24,7 @@ import json
 import os
 import stat
 import sys
+from dataclasses import MISSING, fields
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -171,6 +172,35 @@ class Document:
         return JsonText(json.dumps(self.to_dict(), indent=2))
 
 
+# each document of a run: the field of a command's configuration value that holds it, and its key in
+# the manifest's ``config``
+_DOCUMENTS = (("model", "transition_model"), ("scenario", "scenario"), ("weights", "reward_weights"))
+
+
+def documents_to_dict(value: Any) -> dict[str, JsonText]:
+    """The manifest entries of the documents ``value`` holds: the text each rendered (``indented_json``)."""
+    return {key: getattr(value, name).indented_json for name, key in _DOCUMENTS}
+
+
+def read_config(doc: Any, where: str, keys: Collection[str]) -> tuple[dict, dict[str, Document]]:
+    """``doc`` as a manifest's ``config`` of exactly ``keys`` and the document keys, and its documents.
+
+    Each document is rebuilt by its own ``from_dict`` and returned under the field name that holds it.
+    """
+    from .reward import RewardWeights  # the document modules import this one
+    from .scenario import ScenarioSpec
+    from .transition import TransitionModel
+
+    doc = read_object(doc, where, [*keys, *(key for _, key in _DOCUMENTS)])
+    classes = (TransitionModel, ScenarioSpec, RewardWeights)
+    return doc, {name: cls.from_dict(doc[key]) for (name, key), cls in zip(_DOCUMENTS, classes)}
+
+
+def settings(cls) -> list[str]:
+    """The fields of a configuration dataclass that have a default, i.e. that an option may set."""
+    return [f.name for f in fields(cls) if f.default is not MISSING]
+
+
 def read_object(value: Any, where: str, required: Collection[str] = (), optional: Collection[str] = ()) -> dict:
     """``value`` as an object holding every ``required`` key and no key outside ``optional``."""
     if not isinstance(value, dict):
@@ -249,6 +279,13 @@ def read_integer(value: Any, where: str, minimum: int | None = None) -> int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+
+def read_choice(value: Any, where: str, choices: Collection[str]) -> str:
+    """``value`` if it is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{where} must be {' or '.join(map(repr, choices))}, got {value!r}")
     return value
 
 

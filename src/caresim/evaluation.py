@@ -20,13 +20,16 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
-from .agent import Policy, TrainingLog
-from .config import write_csv, write_json
+from .agent import Policy, TrainingLog, is_policy_id
+from .config import ConfigError, documents_to_dict, read_choice, read_config, read_integer, write_csv, write_json
 from .env import CaregivingEnv
+from .reward import RewardWeights
+from .scenario import ScenarioSpec
 from .seeding import derive_seed, spawn_rngs
 from .states import ACTIONS, NUM_ACTIONS, AssistAction
+from .transition import TransitionModel
 
 # maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action;
 # evaluate_policy plays a Policy as the lookup ``dict(enumerate(policy.actions)).get``, which
@@ -38,6 +41,57 @@ SELECT_FINAL_CANDIDATES = 5
 SELECT_FINAL_ROLLOUTS = 10000
 # rollouts of ``caresim evaluate --policy`` or ``--baseline`` when ``--rollouts`` is not given
 EVALUATE_ROLLOUTS = 40
+
+# the manifest keys that name each mode's input: the policy file read and its id, no policy
+# (``"policy": null``), or the training log read and the SHA-256 of its bytes
+_MODE_INPUTS = {"policy": ("policy", "policy_id"), "baseline-random": ("policy",),
+                "select-final": ("log", "log_sha256")}
+
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    """What ``caresim evaluate`` runs: the documents, the mode and its input, rollouts and seed."""
+
+    model: TransitionModel
+    scenario: ScenarioSpec
+    weights: RewardWeights
+    mode: str
+    rollouts: int
+    seed: int = 0
+    policy: str | None = None
+    policy_id: str | None = None
+    log: str | None = None
+    log_sha256: str | None = None
+
+    def __post_init__(self) -> None:
+        inputs = _MODE_INPUTS[read_choice(self.mode, "mode", _MODE_INPUTS)]
+        read_integer(self.rollouts, "--rollouts", 1)
+        read_integer(self.seed, "seed")
+        for key in ("policy", "policy_id", "log", "log_sha256"):
+            value = getattr(self, key)
+            if (value is None) == (key in inputs and self.mode != "baseline-random"):
+                raise ConfigError(f"mode {self.mode} {'needs' if value is None else 'takes no'} {key}")
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        if self.policy_id is not None and not is_policy_id(self.policy_id):
+            raise ConfigError(f"policy_id must be 16 action indexes 0-3, got {self.policy_id!r}")
+        digest = self.log_sha256
+        if digest is not None and (len(digest) != 64 or digest.strip("0123456789abcdef")):
+            raise ConfigError(f"log_sha256 must be 64 lowercase hex digits, got {digest!r}")
+
+    def to_dict(self) -> dict:
+        """An ``evaluate`` manifest's ``config``: the mode, its input, the rollouts and the seed."""
+        inputs = {key: getattr(self, key) for key in _MODE_INPUTS[self.mode]}
+        return {"mode": self.mode, **inputs, "rollouts": self.rollouts, "seed": self.seed,
+                **documents_to_dict(self)}
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "EvaluateConfig":
+        """The value whose ``to_dict`` is ``doc``."""
+        mode = read_choice(doc.get("mode") if isinstance(doc, dict) else None, "mode", _MODE_INPUTS)
+        keys = ["mode", *_MODE_INPUTS[mode], "rollouts", "seed"]
+        doc, documents = read_config(doc, "evaluate config", keys)
+        return cls(**documents, **{key: doc[key] for key in keys})
 
 
 def random_actor(state: int, rng: random.Random) -> AssistAction:

@@ -19,14 +19,73 @@ line, and so does every template bank entry, so none can start a line of its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING, Any
 
-from .agent import Policy
+from .agent import Policy, is_policy_id
 from .behavior import InteractionContext, PromptVariant, narrate, perceive, render_assist
+from .config import (ConfigError, documents_to_dict, read_choice, read_config, read_integer, read_object,
+                     require_probability)
 from .env import CaregivingEnv
+from .reward import RewardWeights
+from .scenario import ScenarioSpec
 from .seeding import spawn_rng
 from .states import ACTIONS, ALL_STATES
+from .transition import TransitionModel
 
+if TYPE_CHECKING:
+    from .llm import HttpBackendConfig
+
+# the fields of ``SimulateConfig`` that its manifest records as they are
+_PLAIN_KEYS = ("policy", "policy_id", "backend", "noise", "use_perceived", "seed")
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """What ``caresim simulate`` runs: the documents, the policy, the text backend, the session's settings."""
+
+    model: TransitionModel
+    scenario: ScenarioSpec
+    weights: RewardWeights
+    policy: str  # the policy file's path
+    policy_id: str  # the id of the policy read from it
+    backend: str = "template"
+    noise: float = 0.0
+    use_perceived: bool = False
+    variant: PromptVariant = PromptVariant()
+    seed: int = 0
+    http: HttpBackendConfig | None = None  # the settings of the http backend, and only of it
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.policy, str):
+            raise ConfigError(f"policy must be a string, got {self.policy!r}")
+        if not (isinstance(self.policy_id, str) and is_policy_id(self.policy_id)):
+            raise ConfigError(f"policy_id must be 16 action indexes 0-3, got {self.policy_id!r}")
+        if (self.http is None) != (read_choice(self.backend, "backend", ("template", "http")) == "template"):
+            raise ConfigError(f"backend {self.backend} {'needs' if self.http is None else 'takes no'} http settings")
+        require_probability(self.noise, "--noise")
+        if not isinstance(self.use_perceived, bool):
+            raise ConfigError(f"use_perceived must be a boolean, got {self.use_perceived!r}")
+        read_integer(self.seed, "seed")
+
+    def to_dict(self) -> dict:
+        """A ``simulate`` manifest's ``config``: the variant's fields flat, the http settings or null."""
+        return {"policy": self.policy, "policy_id": self.policy_id, "backend": self.backend, "noise": self.noise,
+                "use_perceived": self.use_perceived, **asdict(self.variant), "seed": self.seed,
+                "http": asdict(self.http) if self.http is not None else None, **documents_to_dict(self)}
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "SimulateConfig":
+        """The value whose ``to_dict`` is ``doc``."""
+        variant_keys = [f.name for f in fields(PromptVariant)]
+        doc, documents = read_config(doc, "simulate config", [*_PLAIN_KEYS, *variant_keys, "http"])
+        http = doc["http"]
+        if http is not None:
+            from .llm import HttpBackendConfig  # the HTTP stack loads only for an http run
+
+            http = HttpBackendConfig(**read_object(http, "http", [f.name for f in fields(HttpBackendConfig)]))
+        variant = PromptVariant(**{key: doc[key] for key in variant_keys})
+        return cls(**documents, **{key: doc[key] for key in _PLAIN_KEYS}, variant=variant, http=http)
 
 @dataclass
 class SessionResult:
