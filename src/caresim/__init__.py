@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .agent import (
     ConstantEpsilon,
     ExponentialDecayEpsilon,
-    Policy,
     TrainingConfig,
     epsilon_at,
     extract_policy,
@@ -24,7 +23,7 @@ from .env import CaregivingEnv
 from .evaluation import evaluate_policy, random_actor, select_final_policy
 from .reward import RewardWeights, compute_reward
 from .scenario import ScenarioSpec, StepEvents
-from .states import ACTIONS, AssistAction, StatusVector
+from .states import ACTIONS, AssistAction, Policy, StatusVector
 from .transition import TransitionModel, onset_probability
 
 __all__ = [

@@ -26,13 +26,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .config import (ConfigError, documents_to_dict, is_count, is_number, read_choice, read_config, read_csv,
-                     read_float, read_integer, read_number, require_probability, settings, write_csv)
-from .env import CaregivingEnv
+from .config import (ConfigError, is_count, is_number, read_choice, read_csv, read_float, read_integer, read_number,
+                     require_probability, settings, write_csv)
+from .env import CaregivingEnv, documents_to_dict, read_config
+from .evaluation import evaluate_policy
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
 from .seeding import derive_seed, spawn_rng
-from .states import ACTIONS, NUM_ACTIONS, NUM_STATES, AssistAction, flip_index
+from .states import (ACTIONS, NUM_ACTIONS, NUM_STATES, POLICY_ID_DIGITS, AssistAction, Policy, flip_index,
+                     is_policy_id, read_state_rows)
 from .transition import TransitionModel
 
 
@@ -107,28 +109,8 @@ class QTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "QTable":
-        rows = _read_state_rows(path, cls._header, "Q-table")
+        rows = read_state_rows(path, cls._header, "Q-table")
         return cls([[read_float(cell, f"Q-value in {path}") for cell in row] for row in rows])
-
-
-def _read_state_rows(path: str | Path, header: list[str], kind: str) -> list[list[str]]:
-    """The cells after the state index of a per-state CSV, ordered by state index.
-
-    Every state 0-15 must have exactly one row.
-    """
-    rows: list[list[str] | None] = [None] * NUM_STATES
-    for cells in read_csv(path, kind, header):
-        if len(cells) != len(header) or not is_count(cells[0]):
-            raise ConfigError(f"malformed {kind} row in {path}: {cells!r}")
-        index = int(cells[0])
-        if index >= NUM_STATES:
-            raise ConfigError(f"{kind} row for state {index} in {path}: states are 0-{NUM_STATES - 1}")
-        if rows[index] is not None:
-            raise ConfigError(f"{kind} in {path} has more than one row for state {index}")
-        rows[index] = cells[1:]
-    if None in rows:
-        raise ConfigError(f"{kind} in {path} does not cover all 16 states")
-    return rows  # type: ignore[return-value]
 
 
 def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> AssistAction:
@@ -166,55 +148,9 @@ def q_update(
     row[action] += alpha * (target - row[action])
 
 
-_DIGITS = "0123"  # the policy-id character of each action index
-
-
-def is_policy_id(text: str) -> bool:
-    """True for a string of 16 action indexes, each 0-3."""
-    return len(text) == NUM_STATES and not text.strip(_DIGITS)
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Deterministic map from each of the 16 state indexes to an action; called with an index."""
-
-    actions: tuple[AssistAction, ...]
-    _header = ["state", "action"]  # not a field: it has no annotation
-
-    def __post_init__(self) -> None:
-        if len(self.actions) != NUM_STATES:
-            raise ValueError("a policy must define an action for all 16 states")
-
-    def __call__(self, state: int, rng: random.Random | None = None) -> AssistAction:
-        return self.actions[state]
-
-    @property
-    def policy_id(self) -> str:
-        """16-character action-index string; doubles as the policy's identity."""
-        return "".join([_DIGITS[a] for a in self.actions])
-
-    @classmethod
-    def from_id(cls, policy_id: str) -> "Policy":
-        if not is_policy_id(policy_id):
-            raise ValueError(f"malformed policy id: {policy_id!r}")
-        return cls(tuple([ACTIONS[int(c)] for c in policy_id]))
-
-    def to_file(self, path: str | Path) -> None:
-        rows = [[index, action.code] for index, action in enumerate(self.actions)]
-        write_csv(path, [self._header, *rows], "\n")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Policy":
-        rows = _read_state_rows(path, cls._header, "policy")
-        try:
-            return cls(tuple(AssistAction.from_code(code) for (code,) in rows))
-        except ValueError as exc:
-            raise ConfigError(f"{exc} in {path}") from None
-
-
 def _greedy_policy_id(q: QTable) -> str:
     """The id of the greedy policy; ties break to the lowest action index (deterministic)."""
-    return "".join([_DIGITS[row.index(max(row))] for row in q.values])
+    return "".join([POLICY_ID_DIGITS[row.index(max(row))] for row in q.values])
 
 
 def extract_policy(q: QTable) -> Policy:
@@ -302,8 +238,9 @@ class TrainingLog:
             if len(row) != 6 or row[0] not in ("snapshot", "final") or not is_policy_id(row[4]):
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             kind, epoch, episode, epsilon, policy_id, mean = row
-            number = epoch if kind == "snapshot" else episode
-            if not is_count(number):
+            # the count the row's kind carries, and the cells it leaves empty, joined
+            number, unused = (epoch, episode) if kind == "snapshot" else (episode, epoch + epsilon + mean)
+            if not is_count(number) or unused:
                 raise ConfigError(f"malformed training log row in {path}: {row!r}")
             if kind == "snapshot":
                 mean_return = read_float(mean, f"mean return in {path}") if mean else None
@@ -361,8 +298,6 @@ def train(config: TrainingConfig) -> tuple[QTable, TrainingLog]:
     every episode starts with ``reset`` on its own rng, so sharing it
     changes no result.
     """
-    from .evaluation import evaluate_policy  # local import to avoid a module cycle
-
     env = CaregivingEnv(config.model, config.scenario, config.weights)
     q = QTable()
     rng = spawn_rng(config.seed, "train")

@@ -20,7 +20,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
-from .agent import SCHEDULES, Policy, QTable, TrainingConfig, TrainingLog, extract_policy, train
+from .agent import SCHEDULES, QTable, TrainingConfig, TrainingLog, extract_policy, train
 from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
 from .config import ConfigError, Document, integer, number, read_bytes, settings, write_json, write_text
 from .env import CaregivingEnv
@@ -37,6 +37,7 @@ from .evaluation import (
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
 from .session import SimulateConfig, run_session
+from .states import Policy
 from .transition import TransitionModel
 
 

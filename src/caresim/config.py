@@ -1,5 +1,8 @@
 """File I/O and the strict readers of what the files hold.
 
+It imports no module of the package: it knows the ``Document`` base, not the
+documents a run holds (``env`` does).
+
 Every input file is read by ``read_bytes`` and decoded by ``read_text``.
 Every artifact is written by ``write_text``: ``write_csv`` and ``write_json``
 render their text and hand it to it, and the transcript goes to it directly.
@@ -170,30 +173,6 @@ class Document:
         one object (repeated ``main`` calls on the shipped defaults) saves work.
         """
         return JsonText(json.dumps(self.to_dict(), indent=2))
-
-
-# each document of a run: the field of a command's configuration value that holds it, and its key in
-# the manifest's ``config``
-_DOCUMENTS = (("model", "transition_model"), ("scenario", "scenario"), ("weights", "reward_weights"))
-
-
-def documents_to_dict(value: Any) -> dict[str, JsonText]:
-    """The manifest entries of the documents ``value`` holds: the text each rendered (``indented_json``)."""
-    return {key: getattr(value, name).indented_json for name, key in _DOCUMENTS}
-
-
-def read_config(doc: Any, where: str, keys: Collection[str]) -> tuple[dict, dict[str, Document]]:
-    """``doc`` as a manifest's ``config`` of exactly ``keys`` and the document keys, and its documents.
-
-    Each document is rebuilt by its own ``from_dict`` and returned under the field name that holds it.
-    """
-    from .reward import RewardWeights  # the document modules import this one
-    from .scenario import ScenarioSpec
-    from .transition import TransitionModel
-
-    doc = read_object(doc, where, [*keys, *(key for _, key in _DOCUMENTS)])
-    classes = (TransitionModel, ScenarioSpec, RewardWeights)
-    return doc, {name: cls.from_dict(doc[key]) for (name, key), cls in zip(_DOCUMENTS, classes)}
 
 
 def settings(cls) -> list[str]:

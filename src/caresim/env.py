@@ -37,14 +37,18 @@ reward. Slots that yield the same events and done share one row.
 Environments built on equal scenarios and equal weights share one table,
 and so return the very same ``EnvStep`` objects; building one on another
 pair builds that pair's table, and environments built earlier keep theirs.
+
+The run record's three documents are an environment's: ``documents_to_dict``
+writes them into a manifest's ``config`` and ``read_config`` reads them back.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple
 
+from .config import Document, JsonText, read_object
 from .reward import RewardWeights, compute_reward
 from .scenario import ScenarioSpec, StepEvents, advance
 from .states import ALL_STATES, AssistAction, StatusVector
@@ -121,3 +125,23 @@ class CaregivingEnv:
             post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
         self.index = post
         return outcomes[post]
+
+
+# each document of a run: the field of a command's configuration value that holds it, its key in the
+# manifest's ``config``, and its class
+_DOCUMENTS = (("model", "transition_model", TransitionModel), ("scenario", "scenario", ScenarioSpec),
+              ("weights", "reward_weights", RewardWeights))
+
+
+def documents_to_dict(value: Any) -> dict[str, JsonText]:
+    """The manifest entries of the documents ``value`` holds: the text each rendered (``indented_json``)."""
+    return {key: getattr(value, name).indented_json for name, key, _ in _DOCUMENTS}
+
+
+def read_config(doc: Any, where: str, keys: Collection[str]) -> tuple[dict, dict[str, Document]]:
+    """``doc`` as a manifest's ``config`` of exactly ``keys`` and the document keys, and its documents.
+
+    Each document is rebuilt by its own ``from_dict`` and returned under the field name that holds it.
+    """
+    doc = read_object(doc, where, [*keys, *(key for _, key, _ in _DOCUMENTS)])
+    return doc, {name: cls.from_dict(doc[key]) for name, key, cls in _DOCUMENTS}

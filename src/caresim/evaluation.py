@@ -20,16 +20,18 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .agent import Policy, TrainingLog, is_policy_id
-from .config import ConfigError, documents_to_dict, read_choice, read_config, read_integer, write_csv, write_json
-from .env import CaregivingEnv
+from .config import ConfigError, read_choice, read_integer, write_csv, write_json
+from .env import CaregivingEnv, documents_to_dict, read_config
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
 from .seeding import derive_seed, spawn_rngs
-from .states import ACTIONS, NUM_ACTIONS, AssistAction
+from .states import ACTIONS, NUM_ACTIONS, AssistAction, Policy, read_policy_id
 from .transition import TransitionModel
+
+if TYPE_CHECKING:
+    from .agent import TrainingLog
 
 # maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action;
 # evaluate_policy plays a Policy as the lookup ``dict(enumerate(policy.actions)).get``, which
@@ -73,8 +75,8 @@ class EvaluateConfig:
                 raise ConfigError(f"mode {self.mode} {'needs' if value is None else 'takes no'} {key}")
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
-        if self.policy_id is not None and not is_policy_id(self.policy_id):
-            raise ConfigError(f"policy_id must be 16 action indexes 0-3, got {self.policy_id!r}")
+        if self.policy_id is not None:
+            read_policy_id(self.policy_id, "policy_id")
         digest = self.log_sha256
         if digest is not None and (len(digest) != 64 or digest.strip("0123456789abcdef")):
             raise ConfigError(f"log_sha256 must be 64 lowercase hex digits, got {digest!r}")

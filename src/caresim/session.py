@@ -22,15 +22,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any
 
-from .agent import Policy, is_policy_id
 from .behavior import InteractionContext, PromptVariant, narrate, perceive, render_assist
-from .config import (ConfigError, documents_to_dict, read_choice, read_config, read_integer, read_object,
-                     require_probability)
-from .env import CaregivingEnv
+from .config import ConfigError, read_choice, read_integer, read_object, require_probability
+from .env import CaregivingEnv, documents_to_dict, read_config
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
 from .seeding import spawn_rng
-from .states import ACTIONS, ALL_STATES
+from .states import ACTIONS, ALL_STATES, Policy, read_policy_id
 from .transition import TransitionModel
 
 if TYPE_CHECKING:
@@ -59,8 +57,7 @@ class SimulateConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.policy, str):
             raise ConfigError(f"policy must be a string, got {self.policy!r}")
-        if not (isinstance(self.policy_id, str) and is_policy_id(self.policy_id)):
-            raise ConfigError(f"policy_id must be 16 action indexes 0-3, got {self.policy_id!r}")
+        read_policy_id(self.policy_id, "policy_id")
         if (self.http is None) != (read_choice(self.backend, "backend", ("template", "http")) == "template"):
             raise ConfigError(f"backend {self.backend} {'needs' if self.http is None else 'takes no'} http settings")
         require_probability(self.noise, "--noise")

@@ -1,4 +1,4 @@
-"""Core state and action types shared by every other module.
+"""The core state, action and policy types shared by every other module.
 
 The simulated person is described by four binary statuses (forgetfulness,
 confusion, anger, disengagement). A status vector packs into an integer
@@ -9,8 +9,12 @@ confused, angry, disengaged.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from pathlib import Path
+from typing import Any, NamedTuple
+
+from .config import ConfigError, is_count, read_csv, write_csv
 
 STATUS_NAMES = ("forgetful", "confused", "angry", "disengaged")
 NUM_STATES = 16
@@ -117,3 +121,76 @@ def flip_index(index: int, p: float, rng: random.Random) -> int:
     layer both go through it.
     """
     return index ^ sample_index((p,) * 4, rng)
+
+
+POLICY_ID_DIGITS = "0123"  # the policy-id character of each action index
+
+
+def is_policy_id(text: str) -> bool:
+    """True for a string of 16 action indexes, each 0-3."""
+    return len(text) == NUM_STATES and not text.strip(POLICY_ID_DIGITS)
+
+
+def read_policy_id(value: Any, where: str) -> str:
+    """``value`` if it is a string for which ``is_policy_id`` holds."""
+    if not (isinstance(value, str) and is_policy_id(value)):
+        raise ConfigError(f"{where} must be 16 action indexes 0-3, got {value!r}")
+    return value
+
+
+def read_state_rows(path: str | Path, header: list[str], kind: str) -> list[list[str]]:
+    """The cells after the state index of a per-state CSV, ordered by state index.
+
+    Every state 0-15 must have exactly one row.
+    """
+    rows: list[list[str] | None] = [None] * NUM_STATES
+    for cells in read_csv(path, kind, header):
+        if len(cells) != len(header) or not is_count(cells[0]):
+            raise ConfigError(f"malformed {kind} row in {path}: {cells!r}")
+        index = int(cells[0])
+        if index >= NUM_STATES:
+            raise ConfigError(f"{kind} row for state {index} in {path}: states are 0-{NUM_STATES - 1}")
+        if rows[index] is not None:
+            raise ConfigError(f"{kind} in {path} has more than one row for state {index}")
+        rows[index] = cells[1:]
+    if None in rows:
+        raise ConfigError(f"{kind} in {path} does not cover all 16 states")
+    return rows  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Deterministic map from each of the 16 state indexes to an action; called with an index."""
+
+    actions: tuple[AssistAction, ...]
+    _header = ["state", "action"]  # not a field: it has no annotation
+
+    def __post_init__(self) -> None:
+        if len(self.actions) != NUM_STATES:
+            raise ValueError("a policy must define an action for all 16 states")
+
+    def __call__(self, state: int, rng: random.Random | None = None) -> AssistAction:
+        return self.actions[state]
+
+    @property
+    def policy_id(self) -> str:
+        """16-character action-index string; doubles as the policy's identity."""
+        return "".join([POLICY_ID_DIGITS[a] for a in self.actions])
+
+    @classmethod
+    def from_id(cls, policy_id: str) -> "Policy":
+        if not is_policy_id(policy_id):
+            raise ValueError(f"malformed policy id: {policy_id!r}")
+        return cls(tuple([ACTIONS[int(c)] for c in policy_id]))
+
+    def to_file(self, path: str | Path) -> None:
+        rows = [[index, action.code] for index, action in enumerate(self.actions)]
+        write_csv(path, [self._header, *rows], "\n")
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "Policy":
+        rows = read_state_rows(path, cls._header, "policy")
+        try:
+            return cls(tuple(AssistAction.from_code(code) for (code,) in rows))
+        except ValueError as exc:
+            raise ConfigError(f"{exc} in {path}") from None

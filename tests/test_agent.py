@@ -305,6 +305,9 @@ def test_a_qtable_or_policy_of_the_wrong_shape_is_rejected():
 @pytest.mark.parametrize("row", [
     "snapshot,\u0663,,0.1,{id},", "final,,\u0663,,{id},", "snapshot,x,,0.1,{id},", "final,,,,{id},",
     "snapshot,3,,0.1,{id},\uff11", "snapshot,3,, 0.1,{id},",
+    # a cell that the row's kind leaves empty holds something
+    "snapshot,0,999,0.1,{id},321.5", "final,12,18,,{id},", "final,,18,0.5,{id},", "final,,18,,{id},7.0",
+    "final,12,18,0.5,{id},7.0",
 ])
 def test_training_log_reads_only_ascii_counts_and_numbers(tmp_path, row):
     path = tmp_path / "log.csv"

@@ -771,6 +771,32 @@ def test_cli_import_builds_no_parser_and_reads_no_default():
     assert result.returncode == 0, result.stderr
 
 
+# the artifacts of a train run, of select-final on its log and of a noisy session on its policy
+HASH_SEED_COMMANDS = ("train --epochs 3 --episodes 10 --snapshot-rollouts 3 --out-dir train",
+                      "evaluate --select-final --log train/training_log.csv --rollouts 20 --out-dir final",
+                      "simulate --noise 0.2 --use-perceived --policy train/policy.csv --out-dir sim")
+HASH_SEED_ARTIFACTS = ("train/qtable.csv", "train/policy.csv", "train/training_log.csv", "train/learning_curve.csv",
+                       "final/evaluation_report.json", "final/final_policy.csv", "sim/transcript.txt")
+
+
+def test_artifacts_do_not_depend_on_the_interpreters_hash_seed(tmp_path):
+    # every other determinism test runs in one process, under one PYTHONHASHSEED
+    src = str(Path(caresim.__file__).resolve().parents[1])
+    code = (f"import sys; from caresim.cli import main; "
+            f"sys.exit(max([main(argv.split()) for argv in {HASH_SEED_COMMANDS!r}]))")
+    artifacts = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, timeout=60,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        artifacts.append([(cwd / name).read_bytes() for name in HASH_SEED_ARTIFACTS])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_a_setting_given_to_one_call_does_not_reach_the_next(tmp_path):
     first = run_train(tmp_path, "first", ["--epsilon", "0.2"])
     second = run_train(tmp_path, "second")

@@ -3,13 +3,15 @@
 That surface is what the acceptance suite imports from ``caresim``, at the
 top of the module or inside a test body, plus ``ConfigError``, which every
 malformed input raises. No module of the package keeps an import it never uses,
-only ``caresim.config`` opens, reads or writes files, and no command-line flag
-reads its number with the builtin ``int`` or ``float``.
+the modules import one another in one direction only, only ``caresim.config``
+opens, reads or writes files, and no command-line flag reads its number with the
+builtin ``int`` or ``float``.
 """
 
 from __future__ import annotations
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import caresim
@@ -47,6 +49,59 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert unused == []
+
+
+PACKAGE = Path(caresim.__file__).parent
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The package modules an import statement loads, by file stem; ``__init__`` is the package itself."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    elif node.level:
+        base = "caresim" + (f".{node.module}" if node.module else "")
+        dotted = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    else:
+        dotted = [node.module or ""]
+    stems = set()
+    for name in dotted:
+        head, _, rest = name.partition(".")
+        if head == "caresim":
+            stem = rest.partition(".")[0] or "__init__"
+            if (PACKAGE / f"{stem}.py").exists():
+                stems.add(stem)
+    return stems
+
+
+def _imports(node: ast.AST, in_function: bool = False, type_checking: bool = False):
+    """(line, module imported, inside a function, under ``if TYPE_CHECKING:``) of each package import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            for module in _imported_modules(child):
+                yield child.lineno, module, in_function, type_checking
+        inner = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        guarded = type_checking or (isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING")
+        yield from _imports(child, inner, guarded)
+
+
+def test_modules_import_one_another_in_one_direction():
+    # a function-level import hides a cycle until the call; only ``llm`` (the HTTP stack) loads late, by design
+    graph: dict[str, set[str]] = {}
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem] = set()
+        for line, module, in_function, type_checking in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if in_function and module != "llm":
+                late.append(f"{path.name}:{line} {module}")
+            if not (in_function or type_checking):
+                graph[path.stem].add(module)
+    assert late == []
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+    assert graph["config"] == set()
+    assert "agent" not in graph["evaluation"] | graph["session"]
 
 
 # calls that open, read or write a file: a bare ``open``, a method (``.name``),

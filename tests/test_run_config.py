@@ -124,6 +124,8 @@ HTTP = {"base_url": "http://127.0.0.1:9/v1", "model": "m", "temperature": 0.7, "
     (EvaluateConfig, {"rollouts": 0}, "--rollouts must be >= 1, got 0"),
     (EvaluateConfig, {"policy_id": 5}, "policy_id must be a string"),
     (EvaluateConfig, {"policy_id": "0123"}, "policy_id must be 16 action indexes"),
+    (SimulateConfig, {"policy": 5}, "policy must be a string, got 5"),
+    (SimulateConfig, {"policy_id": "0123"}, "policy_id must be 16 action indexes 0-3, got '0123'"),
     (SimulateConfig, {"noise": 1.5}, r"--noise must be in \[0, 1\]"),
     (SimulateConfig, {"use_perceived": 0}, "use_perceived must be a boolean"),
     (SimulateConfig, {"seed": "0"}, "seed must be an integer"),
