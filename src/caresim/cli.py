@@ -23,7 +23,7 @@ from . import __version__
 from .agent import SCHEDULES, QTable, TrainingConfig, TrainingLog, extract_policy, train
 from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
 from .config import ConfigError, Document, integer, number, read_bytes, settings, write_json, write_text
-from .env import CaregivingEnv
+from .env import DOCUMENTS, CaregivingEnv
 from .evaluation import (
     EVALUATE_ROLLOUTS,
     SELECT_FINAL_ROLLOUTS,
@@ -34,20 +34,14 @@ from .evaluation import (
     random_actor,
     select_final_policy,
 )
-from .reward import RewardWeights
-from .scenario import ScenarioSpec
 from .session import SimulateConfig, run_session
 from .states import Policy
-from .transition import TransitionModel
 
 
 def _load_environment(args) -> dict[str, Document]:
     """The run's model, scenario and weights, each under the name of the field that holds it in a value."""
-    return {
-        "model": TransitionModel.from_file(args.model) if args.model else TransitionModel.default(),
-        "scenario": ScenarioSpec.from_file(args.scenario) if args.scenario else ScenarioSpec.default(),
-        "weights": RewardWeights.from_file(args.weights) if args.weights else RewardWeights.default(),
-    }
+    return {name: cls.from_file(path) if (path := getattr(args, name)) else cls.default()
+            for name, _, cls in DOCUMENTS}
 
 
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +69,7 @@ def _reject_options(args, names, mode: str) -> None:
 
 
 # every option that names a file the command reads
-_INPUT_OPTIONS = ("policy", "log", "model", "scenario", "weights")
+_INPUT_OPTIONS = ("policy", "log", *(name for name, _, _ in DOCUMENTS))
 
 
 def _file_id(path: str | Path) -> tuple[int, int] | None:
@@ -91,20 +85,21 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
     ``config`` is the ``to_dict()`` of the value the command runs. An output
-    path that is a directory, the manifest, or a file the command read (by
-    device and inode, so a symlink or another spelling is caught) is an
-    error, and the directories that will hold the outputs are created, so no
-    manifest is left by a run that could not write its outputs there and no
-    run replaces its own input. The manifest text is
-    ``json.dumps(manifest, indent=2)`` and a newline; each document's part
-    of it is the text the document rendered on first use (``indented_json``).
+    path that is a directory (or ``out_dir`` or above it, by normalized
+    absolute path), the manifest, or a file the command read (by device and
+    inode, so a symlink or another spelling is caught) is an error, and the
+    directories that will hold the outputs are created, so no manifest is
+    left by a run that could not write its outputs there and no run replaces
+    its own input. The manifest text is ``json.dumps(manifest, indent=2)``
+    and a newline; ``render_json`` splices in each document's ``indented_json``.
     """
     manifest = out_dir / "manifest.json"
     read = {_file_id(path): f"--{option} file {path}"
             for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
     read.pop(None, None)
+    out = os.path.join(os.path.abspath(out_dir), "")  # a trailing separator, so a prefix matches whole components
     for name, path in outputs.items():
-        if Path(path).is_dir():
+        if Path(path).is_dir() or out.startswith(os.path.join(os.path.abspath(path), "")):
             raise ConfigError(f"{name} path {path} is a directory")
         # only a path named manifest.json or a symlink can resolve to it; resolving costs ~50 us
         if ((Path(path).name == manifest.name or Path(path).is_symlink())
@@ -154,8 +149,9 @@ def cmd_train(args) -> int:
     if snapshot is not None:
         print(f"last snapshot: mean return {snapshot:.3f}")
     print(f"greedy policy {policy.policy_id} written to {outputs['policy']}")
-    print(f"artifacts written to {out_dir}; "
-          f"evaluate --select-final --log {outputs['training_log']} gives the run's result")
+    print(f"artifacts written to {out_dir}; " + (
+        f"evaluate --select-final --log {outputs['training_log']} gives the run's result" if log.final_policies
+        else f"{outputs['training_log']} has no final-window policy records to select from"))
     return 0
 
 

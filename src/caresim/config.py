@@ -6,8 +6,8 @@ documents a run holds (``env`` does).
 Every input file is read by ``read_bytes`` and decoded by ``read_text``.
 Every artifact is written by ``write_text``: ``write_csv`` and ``write_json``
 render their text and hand it to it, and the transcript goes to it directly.
-``write_json`` renders through ``render_json``, which splices in ``JsonText``
-that a document has already rendered (``Document.indented_json``).
+``write_json`` renders through ``render_json``, which splices in the text that
+a document has already rendered (``Document.indented_json``).
 Every value is checked where it is read and never coerced: a string, a boolean
 or a non-finite number where a number belongs is an error.
 
@@ -29,7 +29,6 @@ import stat
 import sys
 from dataclasses import MISSING, fields
 from functools import cache, cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Any, Collection, Iterable
 
@@ -108,21 +107,17 @@ def write_csv(path: str | Path, rows: Iterable[Iterable], lineterminator: str) -
     write_text(path, buffer.getvalue())
 
 
-class JsonText(str):
-    """JSON text exactly as ``json.dumps(value, indent=2)`` renders some value."""
-
-
 def render_json(value: Any, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)``, as it reads nested ``depth`` levels deep in a document.
 
-    A ``JsonText`` that is ``value`` itself or a dict value at any depth
-    stands for the value it was rendered from, and is spliced in as it is
+    A ``Document`` that is ``value`` itself or a dict value at any depth
+    stands for its ``to_dict()``, and its ``indented_json`` is spliced in
     instead of being encoded again. Dict keys must be strings. A JSON
     string holds no raw newline, so re-indenting text is replacing each
     newline.
     """
-    if isinstance(value, JsonText):
-        text: str = value
+    if isinstance(value, Document):
+        text = value.indented_json
     elif isinstance(value, dict) and value:
         pad = "\n" + "  " * (depth + 1)
         entries = [f"{pad}{json.dumps(key)}: {render_json(item, depth + 1)}" for key, item in value.items()]
@@ -147,12 +142,12 @@ class Document:
     @classmethod
     @cache
     def default(cls):
-        """The shipped document (see caresim/data/), parsed once per process.
+        """The shipped document, read by path from caresim/data/ and parsed once per process.
 
         Every call returns the same read-only instance of ``cls``. Build a
         variant with ``from_dict``.
         """
-        return cls.from_file(resources.files("caresim.data").joinpath(cls._packaged))
+        return cls.from_file(Path(__file__).with_name("data") / cls._packaged)
 
     @classmethod
     def from_file(cls, path: str | Path):
@@ -164,7 +159,7 @@ class Document:
         return cls.from_dict(doc)
 
     @cached_property
-    def indented_json(self) -> JsonText:
+    def indented_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, rendered on first use and kept by this value.
 
         Documents are immutable, so the text cannot go stale. Every manifest
@@ -172,7 +167,7 @@ class Document:
         document object, so only a process that writes several manifests from
         one object (repeated ``main`` calls on the shipped defaults) saves work.
         """
-        return JsonText(json.dumps(self.to_dict(), indent=2))
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def settings(cls) -> list[str]:

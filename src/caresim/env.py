@@ -38,8 +38,9 @@ Environments built on equal scenarios and equal weights share one table,
 and so return the very same ``EnvStep`` objects; building one on another
 pair builds that pair's table, and environments built earlier keep theirs.
 
-The run record's three documents are an environment's: ``documents_to_dict``
-writes them into a manifest's ``config`` and ``read_config`` reads them back.
+The run record's three documents are an environment's, and ``DOCUMENTS`` is
+the one table that names them: ``documents_to_dict`` puts them in a command
+value's record and ``read_config`` takes them back out of one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import random
 from functools import lru_cache
 from typing import Any, Callable, Collection, NamedTuple
 
-from .config import Document, JsonText, read_object
+from .config import Document, read_object
 from .reward import RewardWeights, compute_reward
 from .scenario import ScenarioSpec, StepEvents, advance
 from .states import ALL_STATES, AssistAction, StatusVector
@@ -127,21 +128,22 @@ class CaregivingEnv:
         return outcomes[post]
 
 
-# each document of a run: the field of a command's configuration value that holds it, its key in the
-# manifest's ``config``, and its class
-_DOCUMENTS = (("model", "transition_model", TransitionModel), ("scenario", "scenario", ScenarioSpec),
-              ("weights", "reward_weights", RewardWeights))
+# each document of a run: the field of a command's configuration value that holds it (and the command-line
+# option that names its file), its key in the manifest's ``config``, and its class
+DOCUMENTS = (("model", "transition_model", TransitionModel), ("scenario", "scenario", ScenarioSpec),
+             ("weights", "reward_weights", RewardWeights))
 
 
-def documents_to_dict(value: Any) -> dict[str, JsonText]:
-    """The manifest entries of the documents ``value`` holds: the text each rendered (``indented_json``)."""
-    return {key: getattr(value, name).indented_json for name, key, _ in _DOCUMENTS}
+def documents_to_dict(value: Any) -> dict[str, Document]:
+    """The record entries of the documents ``value`` holds: the documents themselves (``render_json`` splices them)."""
+    return {key: getattr(value, name) for name, key, _ in DOCUMENTS}
 
 
 def read_config(doc: Any, where: str, keys: Collection[str]) -> tuple[dict, dict[str, Document]]:
-    """``doc`` as a manifest's ``config`` of exactly ``keys`` and the document keys, and its documents.
+    """``doc`` as a record of exactly ``keys`` and the document keys, and its documents by field name.
 
-    Each document is rebuilt by its own ``from_dict`` and returned under the field name that holds it.
+    An entry that already is its document is kept; one given as JSON is rebuilt by its class's ``from_dict``.
     """
-    doc = read_object(doc, where, [*keys, *(key for _, key, _ in _DOCUMENTS)])
-    return doc, {name: cls.from_dict(doc[key]) for name, key, cls in _DOCUMENTS}
+    doc = read_object(doc, where, [*keys, *(key for _, key, _ in DOCUMENTS)])
+    return doc, {name: item if isinstance(item := doc[key], cls) else cls.from_dict(item)
+                 for name, key, cls in DOCUMENTS}

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -15,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import caresim.cli
-from caresim import AssistAction, CaregivingEnv, Policy, RewardWeights, ScenarioSpec, TransitionModel
+from caresim import AssistAction, CaregivingEnv, ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.agent import ConstantEpsilon, EpochRecord, ExponentialDecayEpsilon, QTable, TrainingConfig, TrainingLog
-from caresim.cli import main
+from caresim.cli import build_parser, main
 from caresim.env import _edge_table
 from caresim.reward import MAX_WEIGHT
 
@@ -59,6 +60,20 @@ def test_train_prints_the_id_of_the_policy_it_writes(tmp_path, capsys):
     printed = re.search(r"greedy policy (\d{16}) written to", capsys.readouterr().out)
     assert printed is not None
     assert printed.group(1) == Policy.from_file(out / "policy.csv").policy_id
+
+
+@pytest.mark.parametrize("window", ["6", "0"])
+def test_train_points_to_select_final_only_when_its_log_has_final_records(tmp_path, capsys, window):
+    out = run_train(tmp_path, extra=["--final-window", window])
+    log = out / "training_log.csv"
+    last = capsys.readouterr().out.splitlines()[-1]
+    if window == "0":
+        assert last == f"artifacts written to {out}; {log} has no final-window policy records to select from"
+    else:
+        assert last == f"artifacts written to {out}; evaluate --select-final --log {log} gives the run's result"
+    # the hint is right either way: the command it names runs, and select-final on a log without them fails
+    argv = ["evaluate", "--select-final", "--log", str(log), "--rollouts", "1", "--out-dir", str(tmp_path / "e")]
+    assert main(argv) == (1 if window == "0" else 0)
 
 
 def test_train_manifest_written_with_resolved_config(tmp_path):
@@ -588,6 +603,18 @@ def test_simulate_transcript_that_is_a_directory_is_an_error_before_writing_mani
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("out_dir, transcript", [("s1", "s1"), ("s3/x", "s3"), ("s4", "s4/x/..")])
+def test_simulate_transcript_that_is_the_out_dir_or_above_it_is_an_error_before_creating_anything(
+        tmp_path, capsys, monkeypatch, out_dir, transcript):
+    # each names a directory that the run would create, so it is no file yet
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--policy", str(policy), "--out-dir", out_dir, "--transcript", transcript]) == 1
+    assert capsys.readouterr().err == f"error: transcript path {transcript} is a directory\n"
+    assert list(tmp_path.iterdir()) == [policy]
+
+
 @pytest.mark.parametrize("transcript", ["manifest.json", "new/../manifest.json", "link"])
 def test_simulate_transcript_that_is_the_manifest_is_an_error_before_writing_anything(tmp_path, capsys,
                                                                                        transcript):
@@ -763,12 +790,53 @@ def test_a_negative_seed_still_runs(tmp_path, command):
 def test_cli_import_builds_no_parser_and_reads_no_default():
     src = str(Path(caresim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, caresim.cli as c; sys.exit([f.cache_info().currsize for f in "
-            "(c.build_parser, c.TransitionModel.default, c.ScenarioSpec.default, "
-            "c.RewardWeights.default)] != [0, 0, 0, 0])")
+    code = ("import sys, caresim.cli as c, caresim.env as e; sys.exit([f.cache_info().currsize for f in "
+            "(c.build_parser, *(cls.default for _, _, cls in e.DOCUMENTS))] != [0, 0, 0, 0])")
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_importlib_resources():
+    # the shipped documents are read by path; ``-S`` keeps ``site`` from importing it first
+    src = str(Path(caresim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, caresim.cli; sys.exit('importlib.resources' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_command_blocks() -> list[tuple[list[list[str]], str | None]]:
+    """Each bash block of the README: the arguments of its ``caresim`` lines, and the error line it shows, if any."""
+    blocks = []
+    for block in re.findall(r"^```bash\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("caresim ")]
+        errors = [line.removeprefix("# error: ") for line in lines if line.startswith("# error: ")]
+        blocks.append((commands, errors[0] if errors else None))
+    return blocks
+
+
+def test_the_readme_command_lines_parse():
+    usage = [argv for commands, error in _readme_command_blocks() if error is None for argv in commands]
+    assert len(usage) >= 9
+    for argv in usage:
+        build_parser().parse_args(argv)
+
+
+def test_the_readme_command_lines_shown_with_an_error_are_rejected_with_it():
+    blocks = [(commands, error) for commands, error in _readme_command_blocks() if error is not None]
+    assert blocks
+    for commands, error in blocks:
+        messages = []
+        for argv in commands:
+            with pytest.raises(ConfigError) as rejected:
+                build_parser().parse_args(argv)
+            messages.append(str(rejected.value))
+        assert messages[0] == error
 
 
 # the artifacts of a train run, of select-final on its log and of a noisy session on its policy

@@ -14,10 +14,11 @@ import threading
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_env import models, reward_weights, scenarios
 
 from caresim import ConfigError, Policy, RewardWeights, ScenarioSpec, TransitionModel
 from caresim.cli import main
-from caresim.config import (JsonText, integer, number, parse_float, read_float, read_name, render_json,
+from caresim.config import (integer, number, parse_float, read_float, read_name, render_json,
                             write_csv, write_json, write_text)
 from caresim.llm import _one_line
 from caresim.reward import MAX_WEIGHT
@@ -91,23 +92,31 @@ _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.tex
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=12)
+_DOCUMENT_VALUES = st.one_of(models(), scenarios(), reward_weights())
 
 
 @st.composite
-def _with_json_text(draw, value):
-    """``value`` with some dict values, at any depth, replaced by their rendered ``JsonText``."""
-    if isinstance(value, dict):
-        return {key: JsonText(json.dumps(item, indent=2)) if draw(st.booleans()) else draw(_with_json_text(item))
-                for key, item in value.items()}
-    return value
+def _with_documents(draw, value):
+    """``value`` with some dict values, at any depth, replaced by documents; and the same with their ``to_dict()``."""
+    if not isinstance(value, dict):
+        return value, value
+    spliced, plain = {}, {}
+    for key, item in value.items():
+        if draw(st.booleans()):
+            spliced[key] = draw(_DOCUMENT_VALUES)
+            plain[key] = spliced[key].to_dict()
+        else:
+            spliced[key], plain[key] = draw(_with_documents(item))
+    return spliced, plain
 
 
 @settings(max_examples=300)
 @given(st.data(), _JSON_VALUES)
-def test_render_json_is_json_dumps_with_json_text_spliced_in(data, value):
-    expected = json.dumps(value, indent=2)
-    assert render_json(data.draw(_with_json_text(value))) == expected
-    assert render_json(JsonText(expected)) == expected
+def test_render_json_is_json_dumps_with_documents_spliced_in(data, value):
+    spliced, plain = data.draw(_with_documents(value))
+    assert render_json(spliced) == json.dumps(plain, indent=2)
+    document = data.draw(_DOCUMENT_VALUES)
+    assert render_json(document) == json.dumps(document.to_dict(), indent=2)
 
 
 @pytest.mark.parametrize("cls", DOCUMENTS)

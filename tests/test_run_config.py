@@ -17,6 +17,7 @@ from caresim import (ConfigError, ConstantEpsilon, ExponentialDecayEpsilon, Poli
 from caresim.behavior import ASSIST_GUIDANCE, PromptVariant
 from caresim.cli import main
 from caresim.config import render_json
+from caresim.env import DOCUMENTS
 from caresim.evaluation import EvaluateConfig
 from caresim.llm import HttpBackendConfig
 from caresim.session import SimulateConfig
@@ -92,6 +93,15 @@ def test_from_dict_rebuilds_the_value_from_its_rendered_record(value):
     record = json.loads(render_json(value.to_dict()))
     assert type(value).from_dict(record) == value
     assert render_json(type(value).from_dict(record).to_dict()) == render_json(value.to_dict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(training_configs(), evaluate_configs(), simulate_configs()))
+def test_from_dict_rebuilds_the_value_from_its_record_in_memory(value):
+    rebuilt = type(value).from_dict(value.to_dict())
+    assert rebuilt == value
+    # a record holds the documents themselves, and the rebuilt value keeps them
+    assert all(getattr(rebuilt, name) is getattr(value, name) for name, _, _ in DOCUMENTS)
 
 
 def _record(cls) -> dict:
