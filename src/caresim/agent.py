@@ -254,7 +254,12 @@ class TrainingLog:
 def _run_training_episode(
     env: CaregivingEnv, q: QTable, epsilon: float, config: TrainingConfig, rng: random.Random
 ) -> float:
-    """One learning episode: ``select_action``, ``env.step`` and ``q_update`` per step, inlined."""
+    """One learning episode: ``select_action``, ``env.step`` and ``q_update`` per step, inlined.
+
+    Each step takes the maximum of a row once: the TD target's maximum over
+    the next row is the next step's ``best``, taken again only when the step
+    stayed in its row, which the update has just changed.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     noise, alpha, gamma = config.perception_noise, config.alpha, config.gamma
@@ -263,29 +268,32 @@ def _run_training_episode(
     env.reset(rng)
     env_step = env.step  # bound per episode, so a replaced CaregivingEnv.step still runs every step
     obs = flip_index(env.index, noise, rng) if noise else env.index
+    row = values[obs]
+    best = max(row)
     episode_return = 0.0
     while True:
-        row = values[obs]
         explore = draw() < epsilon
         u = draw()
         if explore:
             action = int(u * NUM_ACTIONS)
+        elif row.count(best) == 1:
+            action = row.index(best)
         else:
-            best = max(row)
-            if row.count(best) == 1:
-                action = row.index(best)
-            else:
-                ties = [i for i in range(NUM_ACTIONS) if row[i] == best]
-                action = ties[int(u * len(ties))]
+            ties = [i for i in range(NUM_ACTIONS) if row[i] == best]
+            action = ties[int(u * len(ties))]
         step = env_step(action)
-        reward, done = step.reward, step.done
+        reward = step.reward
         next_obs = flip_index(env.index, noise, rng) if noise else env.index
-        target = reward if done else reward + gamma * max(values[next_obs])
-        row[action] += alpha * (target - row[action])
+        if step.done:
+            row[action] += alpha * (reward - row[action])
+            return episode_return + reward
+        next_row = values[next_obs]
+        best = max(next_row)
+        row[action] += alpha * (reward + gamma * best - row[action])
         episode_return += reward
-        if done:
-            return episode_return
-        obs = next_obs
+        if next_obs == obs:
+            best = max(row)
+        obs, row = next_obs, next_row
 
 
 def train(config: TrainingConfig) -> tuple[QTable, TrainingLog]:

@@ -81,22 +81,47 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
     return status.st_dev, status.st_ino
 
 
+def _passes_through(path: str, manifest: Path) -> bool:
+    """Whether a leading directory of ``path``, as written, is ``manifest`` by normalized absolute path.
+
+    ``a/manifest.json/../x`` passes through ``a/manifest.json``. String operations only, nothing is
+    stat'ed. Only a leading path that ends in a component with the manifest's name can normalize to
+    it, so a path without that name is done at once, and only such a leading path is made absolute.
+    """
+    name = manifest.name
+    if name not in path:
+        return False
+    target = os.path.abspath(manifest)
+    head = os.path.dirname(path)
+    while head and head != (parent := os.path.dirname(head)):
+        if os.path.basename(head) == name and os.path.abspath(head) == target:
+            return True
+        head = parent
+    return False
+
+
 def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
     ``config`` is the ``to_dict()`` of the value the command runs. An output
     path that is a directory (or ``out_dir`` or above it, by normalized
     absolute path), the manifest, or a file the command read (by device and
-    inode, so a symlink or another spelling is caught) is an error, and the
-    directories that will hold the outputs are created, so no manifest is
-    left by a run that could not write its outputs there and no run replaces
-    its own input. The manifest text is ``json.dumps(manifest, indent=2)``
-    and a newline; ``render_json`` splices in each document's ``indented_json``.
+    inode, so a symlink or another spelling is caught) is an error, as is an
+    output path or ``out_dir`` whose leading directories, as written, pass
+    through the manifest (``o/manifest.json/x``). Then the directories that
+    will hold the outputs are created, so no manifest is left by a run that
+    could not write its outputs there, no run replaces its own input, and no
+    run makes a directory of its manifest's path. The manifest text is
+    ``json.dumps(manifest, indent=2)`` and a newline; ``render_json`` splices
+    in each document's ``indented_json``.
     """
     manifest = out_dir / "manifest.json"
     read = {_file_id(path): f"--{option} file {path}"
             for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
     read.pop(None, None)
+    for name, path in {"--out-dir": str(out_dir), **outputs}.items():
+        if _passes_through(path, manifest):
+            raise ConfigError(f"{name} path {path} passes through the run's manifest")
     out = os.path.join(os.path.abspath(out_dir), "")  # a trailing separator, so a prefix matches whole components
     for name, path in outputs.items():
         if Path(path).is_dir() or out.startswith(os.path.join(os.path.abspath(path), "")):

@@ -4,13 +4,14 @@ Child seeds are derived from a label tuple via SHA-256 so that parallel
 evaluation of rollout i equals serial evaluation, and so that training,
 snapshot evaluation, and simulation never share a stream by accident.
 ``spawn_rngs`` gives the streams of rollouts 0, 1, ... under one label:
-it hashes the label once and reseeds a single generator per rollout, and
-each stream equals the one ``spawn_rng`` gives for the same label and
-index.
+it hashes the label once and reseeds a single generator per rollout
+through the C seeder, and each stream equals the one ``spawn_rng`` gives
+for the same label and index, in full ``getstate()``.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from typing import Iterator
@@ -43,8 +44,11 @@ def spawn_rngs(*parts: int | str, count: int) -> Iterator[random.Random]:
     """
     prefix = hashlib.sha256(_label((*parts, "")))  # the label of (*parts, i) up to str(i)
     rng = random.Random(0)
+    # what ``Random.seed`` does for an int, without its Python wrapper: the C seeder, then no cached gauss
+    reseed = _random.Random.seed.__get__(rng)
     for i in range(count):
         digest = prefix.copy()
         digest.update(str(i).encode("ascii"))
-        rng.seed(_seed(digest))
+        reseed(_seed(digest))
+        rng.gauss_next = None
         yield rng

@@ -631,6 +631,24 @@ def test_simulate_transcript_that_is_the_manifest_is_an_error_before_writing_any
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv, name, path", [
+    (["simulate", "--policy", "p.csv", "--out-dir", "m1", "--transcript", "m1/manifest.json/x"],
+     "transcript", "m1/manifest.json/x"),
+    (["simulate", "--policy", "p.csv", "--out-dir", "m2", "--transcript", "m2/manifest.json/../t.txt"],
+     "transcript", "m2/manifest.json/../t.txt"),
+    (["train", "--epochs", "1", "--episodes", "10", "--out-dir", "m3/manifest.json/.."],
+     "--out-dir", "m3/manifest.json/.."),
+], ids=["transcript-under-manifest", "transcript-back-out-of-manifest", "out-dir-back-out-of-manifest"])
+def test_a_path_through_the_manifest_is_an_error_before_creating_anything(tmp_path, capsys, monkeypatch, argv,
+                                                                          name, path):
+    policy = tmp_path / "p.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {name} path {path} passes through the run's manifest\n"
+    assert list(tmp_path.iterdir()) == [policy]
+
+
 @pytest.mark.parametrize("argv, output, path, read", [
     (["simulate", "--policy", "{policy}", "--transcript", "{policy}"], "transcript", "{policy}",
      "--policy file {policy}"),
@@ -1109,3 +1127,22 @@ def test_noisy_training_and_random_baseline_match_pinned_digests(tmp_path):
     }
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PINNED_NOISY_TRAIN_AND_RANDOM_DIGESTS
+
+
+# SHA-256 of the artifacts of a default-scale `caresim train --seed 0` (6000 epochs of 30 episodes,
+# 40-rollout snapshots), pinned from the implementation whose training episode took the maximum of
+# a row twice per step and whose rollouts reseeded through Random.seed.
+PINNED_DEFAULT_TRAIN_DIGESTS = {
+    "qtable.csv": "a2a9db1f4cbf5e3ea554c7f84c113c0656d428ffb6653aadcc0085159a111304",
+    "policy.csv": "6c969849c5b7753acd466d2d756edbe9d01c8657dd97ae77d811b69bafdd2cae",
+    "training_log.csv": "5dbca9f85c0be5f95d60db3f4e4439299370524de3dd2e35b44e90edafecd4ae",
+    "learning_curve.csv": "1225e1d4e4703063c1e8338969d8b467ac83583b1ec8bf17df067130615f84ea",
+}
+
+
+@pytest.mark.slow
+def test_default_scale_training_matches_pinned_digests(tmp_path):
+    assert main(["train", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_DEFAULT_TRAIN_DIGESTS}
+    assert digests == PINNED_DEFAULT_TRAIN_DIGESTS

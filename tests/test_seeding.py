@@ -1,4 +1,4 @@
-"""The rollout streams of ``spawn_rngs`` against ``spawn_rng`` one index at a time."""
+"""The rollout streams of ``spawn_rngs`` against ``spawn_rng`` one index at a time, in full state."""
 
 from __future__ import annotations
 
@@ -18,5 +18,11 @@ label_parts = st.lists(
 @example([2**63 + 1, "snapshot", -(2**40)], 3)
 @example([], 12)
 def test_spawn_rngs_yields_the_streams_of_spawn_rng(parts, count):
-    drawn = [(rng.random(), rng.getrandbits(64)) for rng in spawn_rngs(*parts, count=count)]
-    assert drawn == [(r.random(), r.getrandbits(64)) for r in (spawn_rng(*parts, i) for i in range(count))]
+    states, drawn = [], []
+    for rng in spawn_rngs(*parts, count=count):
+        states.append(rng.getstate())
+        drawn.append((rng.random(), rng.getrandbits(64)))
+        rng.gauss(0, 1)  # caches a second normal on the generator, which the next reseed must drop
+    expected = [spawn_rng(*parts, i) for i in range(count)]
+    assert states == [r.getstate() for r in expected]
+    assert drawn == [(r.random(), r.getrandbits(64)) for r in expected]
