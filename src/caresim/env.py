@@ -10,8 +10,13 @@ step is always a single (state, action, reward, next_state) tuple.
 Random draws per step: 4 for the assisted transition, plus 4 more when a
 forced skip fires, one per status in the order ``states.sample_index``
 fixes. ``step`` makes them itself, on the rng's ``random`` bound at reset,
-and calls no sampler. The rng is supplied at reset and owned by the
-episode; independent episodes with independent rngs may run in parallel.
+and calls no sampler. It packs them as ``sample_index`` does, each draw
+compared in a branch and its bit added, and sums the edge slot as
+integers, so that CPython's specializing interpreter runs every compare,
+add and subscript of the step in its int, float or tuple form. An action
+outside 0-3 is a ``ValueError`` raised before any draw. The rng is
+supplied at reset and owned by the episode; independent episodes with
+independent rngs may run in parallel.
 
 Every step of every caller goes through ``CaregivingEnv.step`` as looked
 up on the class when the episode starts: the rollout and training loops
@@ -109,21 +114,43 @@ class CaregivingEnv:
         self.node = 0
         return ALL_STATES[0]
 
-    def step(self, action: AssistAction) -> EnvStep:
+    def step(self, action: AssistAction | int) -> EnvStep:
+        """One trial under ``action``, an assistance level 0-3 (an ``AssistAction`` or its int).
+
+        An integer outside 0-3 is a ``ValueError``, and an action that is no
+        integer the ``TypeError`` of the onset table's index, both raised
+        before any draw.
+        """
         draw = self._draw
         if draw is None:
             raise RuntimeError("call reset() before step()")
         node = self.node
         if node == self._end:
             raise ValueError("step() called on a finished episode")
+        if action < 0 or action > 3:  # before any draw: -1 would read a3's row, 4 past the last
+            raise ValueError(f"action must be an assistance level 0-3, got {action!r}")
 
-        # the draws of states.sample_index, inlined: one per status, in bit order
+        # the draws of states.sample_index, inlined and in its form: one per status, in bit order, each
+        # compared in a branch and its bit added, which CPython specializes (`|` and `<<` on bools it does not)
         p0, p1, p2, p3 = self._onset_table[self.index][action]
-        post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
-        self.node, skips, outcomes = self._edges[node << 3 | (post == 0) << 2 | action]
+        post = 1 if draw() < p0 else 0
+        if draw() < p1:
+            post += 2
+        if draw() < p2:
+            post += 4
+        if draw() < p3:
+            post += 8
+        # the slot node << 3 | all clear << 2 | action, summed as integers
+        self.node, skips, outcomes = self._edges[node * 8 + (4 if post == 0 else 0) + action]
         if skips:
             p0, p1, p2, p3 = self._skip_table[post]
-            post = (draw() < p0) | (draw() < p1) << 1 | (draw() < p2) << 2 | (draw() < p3) << 3
+            post = 1 if draw() < p0 else 0
+            if draw() < p1:
+                post += 2
+            if draw() < p2:
+                post += 4
+            if draw() < p3:
+                post += 8
         self.index = post
         return outcomes[post]
 

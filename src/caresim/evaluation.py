@@ -7,9 +7,12 @@ index), so parallel and serial evaluation agree and two evaluations with
 the same base seed are identical.
 
 ``evaluate_policy`` plays a ``Policy`` through its action table, a C-level
-dict lookup, so no Python frame runs per step to choose the action;
-``random_actor`` keeps its one draw per step. Either way every step still
-goes through ``CaregivingEnv.step``.
+dict lookup, so no Python frame runs per step to choose the action. The
+table holds the actions as exact ints, as the training episode passes
+them, on which the step's compares, add and subscripts run in CPython's
+specialized int forms (an ``AssistAction`` member is an int subclass,
+which those forms do not take); ``random_actor`` keeps its one draw per
+step. Either way every step still goes through ``CaregivingEnv.step``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ if TYPE_CHECKING:
     from .agent import TrainingLog
 
 # maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action;
-# evaluate_policy plays a Policy as the lookup ``dict(enumerate(policy.actions)).get``, which
-# ignores the rng, and random_actor as itself (one draw per step); each step is one env.step
-Actor = Callable[[int, random.Random], AssistAction]
+# evaluate_policy plays a Policy as the lookup ``dict(enumerate(map(int, policy.actions))).get``,
+# which ignores the rng and gives exact ints, and random_actor as itself (one draw per step);
+# each step is one env.step
+Actor = Callable[[int, random.Random], AssistAction | int]
 
 # final-policy selection protocol: the most frequent late policies, and rollouts per candidate
 SELECT_FINAL_CANDIDATES = 5
@@ -150,7 +154,7 @@ def evaluate_policy(
     if num_rollouts < 1:
         raise ValueError(f"num_rollouts must be >= 1, got {num_rollouts}")
     # called as get(state, rng), the rng lands in get's unused default
-    play = dict(enumerate(actor.actions)).get if isinstance(actor, Policy) else actor
+    play = dict(enumerate(map(int, actor.actions))).get if isinstance(actor, Policy) else actor
     returns = tuple(
         run_episode(play, env, rng) for rng in spawn_rngs(base_seed, "rollout", count=num_rollouts)
     )

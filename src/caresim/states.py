@@ -102,16 +102,22 @@ def sample_index(probs: tuple[float, float, float, float], rng: random.Random) -
     Returns the packed index of the sampled vector, so sampling allocates
     nothing. It defines the draw order of status bits: ``transition`` and
     perception noise (``flip_index``) call it, and ``CaregivingEnv.step``
-    makes the same four draws inline, for the assisted transition and for
-    a forced skip, as the environment tests check draw for draw.
+    repeats it inline, in this same form, for the assisted transition and
+    for a forced skip, as the environment tests check draw for draw. Each
+    draw is compared in a branch and its bit added: CPython specializes a
+    float compare-and-branch and an int add, but not ``|`` or ``<<`` on the
+    bools that a bare compare gives.
     """
     draw = rng.random
-    return (
-        (draw() < probs[0])
-        | (draw() < probs[1]) << 1
-        | (draw() < probs[2]) << 2
-        | (draw() < probs[3]) << 3
-    )
+    p0, p1, p2, p3 = probs
+    index = 1 if draw() < p0 else 0
+    if draw() < p1:
+        index += 2
+    if draw() < p2:
+        index += 4
+    if draw() < p3:
+        index += 8
+    return index
 
 
 def flip_index(index: int, p: float, rng: random.Random) -> int:

@@ -1140,9 +1140,24 @@ PINNED_DEFAULT_TRAIN_DIGESTS = {
 }
 
 
+# SHA-256 of what `caresim evaluate --select-final` writes at defaults (5 candidates x 10,000 rollouts) on
+# that run's training log, pinned from the implementation whose step packed its draws with `|` and `<<`
+# and whose rollouts passed AssistAction members.
+PINNED_DEFAULT_SELECT_FINAL_DIGESTS = {
+    "evaluation_report.json": "28c80f0289c24166b7be46215e5eee2e27320300192bf9926189d85ddea040e1",
+    "final_policy.csv": "2f1a988a9c63fe5a72fbcd362b7175c52b6e1669afc255645a27c31d2436afab",
+}
+
+
 @pytest.mark.slow
 def test_default_scale_training_matches_pinned_digests(tmp_path):
     assert main(["train", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_DEFAULT_TRAIN_DIGESTS}
     assert digests == PINNED_DEFAULT_TRAIN_DIGESTS
+    final = tmp_path / "final"
+    assert main(["evaluate", "--select-final", "--log", str(tmp_path / "training_log.csv"),
+                 "--out-dir", str(final)]) == 0
+    digests = {name: hashlib.sha256((final / name).read_bytes()).hexdigest()
+               for name in PINNED_DEFAULT_SELECT_FINAL_DIGESTS}
+    assert digests == PINNED_DEFAULT_SELECT_FINAL_DIGESTS

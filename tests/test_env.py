@@ -149,8 +149,8 @@ class ReferenceStepper:
 
 
 @settings(max_examples=150, deadline=None)
-@given(models(), scenarios(), reward_weights(), policies, st.integers(0, 2**32))
-def test_step_matches_reference_stepper(model, scenario, weights, policy, seed):
+@given(models(), scenarios(), reward_weights(), policies, st.integers(0, 2**32), st.booleans())
+def test_step_matches_reference_stepper(model, scenario, weights, policy, seed, as_int):
     env = CaregivingEnv(model, scenario, weights)
     env_rng, ref_rng = random.Random(seed), random.Random(seed)
     for _episode in range(3):  # later episodes read the slots and outcome rows earlier ones filled
@@ -160,7 +160,8 @@ def test_step_matches_reference_stepper(model, scenario, weights, policy, seed):
         done = False
         while not done:
             action = policy(env.index)
-            step = env.step(action)
+            # the rollouts and the training episode both pass plain ints; callers may pass the members
+            step = env.step(int(action) if as_int else action)
             post, reward, events, done = reference.step(action)
             assert tuple(step.next_state) == post
             assert step.next_state is ALL_STATES[step.next_state.index]
@@ -368,7 +369,17 @@ def test_step_before_reset_and_after_the_last_step_are_errors(model, tiny_scenar
     env = CaregivingEnv(model, tiny_scenario, weights)
     with pytest.raises(RuntimeError, match="reset"):
         env.step(ACTIONS[0])
-    env.reset(random.Random(0))
+    rng = random.Random(0)
+    env.reset(rng)
+    # an action outside 0-3 is refused before any draw: -1 would read a3's row, 4 the row past the last
+    for action in (-1, 4):
+        before = (rng.getstate(), env.node, env.index)
+        with pytest.raises(ValueError, match=rf"^action must be an assistance level 0-3, got {action}$"):
+            env.step(action)
+        assert (rng.getstate(), env.node, env.index) == before
+    with pytest.raises(TypeError):
+        env.step(1.5)
+    assert (rng.getstate(), env.node, env.index) == before
     done = False
     while not done:
         done = env.step(ACTIONS[3]).done
