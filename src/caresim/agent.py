@@ -301,39 +301,29 @@ def train(config: TrainingConfig) -> tuple[QTable, TrainingLog]:
 
     Fully deterministic in (config, seed): the training stream is derived
     from the seed, and every snapshot evaluation uses its own derived
-    per-epoch stream so evaluation settings never perturb training. Snapshot
-    evaluation runs between training episodes on the training environment:
-    every episode starts with ``reset`` on its own rng, so sharing it
-    changes no result.
+    per-epoch stream so evaluation settings never perturb training. Each
+    epoch's snapshot is taken, scored and logged right after its
+    ``snapshot_episode``-th episode, on the training environment: every
+    episode starts with ``reset`` on its own rng, so sharing it changes no result.
     """
     env = CaregivingEnv(config.model, config.scenario, config.weights)
     q = QTable()
     rng = spawn_rng(config.seed, "train")
     log = TrainingLog()
-
-    total_episodes = config.epochs * config.episodes_per_epoch
-    final_window_start = max(0, total_episodes - config.final_policy_window)
-    global_episode = 0
+    episodes = config.episodes_per_epoch
+    final_window_start = config.epochs * episodes - config.final_policy_window
 
     for epoch in range(config.epochs):
         eps = epsilon_at(config.schedule, epoch)
-        snapshot_policy: Policy | None = None
-        for episode in range(config.episodes_per_epoch):
+        for episode in range(epoch * episodes, (epoch + 1) * episodes):  # numbered across epochs
             _run_training_episode(env, q, eps, config, rng)
-            if episode + 1 == config.snapshot_episode:
-                snapshot_policy = extract_policy(q)
-            if global_episode >= final_window_start:
-                log.final_policies.append((global_episode, _greedy_policy_id(q)))
-            global_episode += 1
-        assert snapshot_policy is not None
-        mean_return = None
-        if config.snapshot_rollouts:
-            report = evaluate_policy(
-                snapshot_policy,
-                env,
-                config.snapshot_rollouts,
-                derive_seed(config.seed, "snapshot", epoch),
-            )
-            mean_return = report.mean_return
-        log.epochs.append(EpochRecord(epoch, eps, snapshot_policy.policy_id, mean_return))
+            if episode % episodes + 1 == config.snapshot_episode:
+                policy = extract_policy(q)
+                mean_return = None
+                if config.snapshot_rollouts:
+                    seed = derive_seed(config.seed, "snapshot", epoch)
+                    mean_return = evaluate_policy(policy, env, config.snapshot_rollouts, seed).mean_return
+                log.epochs.append(EpochRecord(epoch, eps, policy.policy_id, mean_return))
+            if episode >= final_window_start:
+                log.final_policies.append((episode, _greedy_policy_id(q)))
     return q, log

@@ -7,12 +7,12 @@ index), so parallel and serial evaluation agree and two evaluations with
 the same base seed are identical.
 
 ``evaluate_policy`` plays a ``Policy`` through its action table, a C-level
-dict lookup, so no Python frame runs per step to choose the action. The
-table holds the actions as exact ints, as the training episode passes
-them, on which the step's compares, add and subscripts run in CPython's
-specialized int forms (an ``AssistAction`` member is an int subclass,
-which those forms do not take); ``random_actor`` keeps its one draw per
-step. Either way every step still goes through ``CaregivingEnv.step``.
+dict lookup, so no Python frame runs per step to choose the action, and
+calls any other actor with (state index, rng). The table holds exact ints,
+as ``random_actor`` returns and the training episode passes: the step runs
+its compares, add and subscripts on them in CPython's specialized int
+forms, which an ``AssistAction`` member, an int subclass, does not take.
+Either way every step still goes through ``CaregivingEnv.step``.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ from .env import CaregivingEnv, documents_to_dict, read_config
 from .reward import RewardWeights
 from .scenario import ScenarioSpec
 from .seeding import derive_seed, spawn_rngs
-from .states import ACTIONS, NUM_ACTIONS, AssistAction, Policy, read_policy_id
+from .states import NUM_ACTIONS, Policy, read_policy_id
 from .transition import TransitionModel
 
 if TYPE_CHECKING:
     from .agent import TrainingLog
 
-# maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action;
+# maps the env's state index (``CaregivingEnv.index``) and the episode rng to an action 0-3 as an exact int;
 # evaluate_policy plays a Policy as the lookup ``dict(enumerate(map(int, policy.actions))).get``,
-# which ignores the rng and gives exact ints, and random_actor as itself (one draw per step);
-# each step is one env.step
-Actor = Callable[[int, random.Random], AssistAction | int]
+# which ignores the rng, and any other actor (in the package, random_actor) as itself; each step is one env.step
+Actor = Callable[[int, random.Random], int]
 
 # final-policy selection protocol: the most frequent late policies, and rollouts per candidate
 SELECT_FINAL_CANDIDATES = 5
@@ -100,9 +99,9 @@ class EvaluateConfig:
         return cls(**documents, **{key: doc[key] for key in keys})
 
 
-def random_actor(state: int, rng: random.Random) -> AssistAction:
-    """Uniform action choice; consumes exactly 1 rng draw per step."""
-    return ACTIONS[int(rng.random() * NUM_ACTIONS)]
+def random_actor(state: int, rng: random.Random) -> int:
+    """Uniform action choice, as an exact int 0-3; consumes exactly 1 rng draw per step."""
+    return int(rng.random() * NUM_ACTIONS)
 
 
 def run_episode(actor: Actor, env: CaregivingEnv, rng: random.Random) -> float:
@@ -150,15 +149,20 @@ class EvaluationReport:
 def evaluate_policy(
     actor: Actor, env: CaregivingEnv, num_rollouts: int, base_seed: int
 ) -> EvaluationReport:
-    """Estimate an actor's mean return over independently seeded rollouts."""
+    """Estimate an actor's mean return over independently seeded rollouts.
+
+    A ``Policy`` is reported by its id, any other actor as ``"random"``: in the package it is ``random_actor``.
+    """
     if num_rollouts < 1:
         raise ValueError(f"num_rollouts must be >= 1, got {num_rollouts}")
-    # called as get(state, rng), the rng lands in get's unused default
-    play = dict(enumerate(map(int, actor.actions))).get if isinstance(actor, Policy) else actor
+    if isinstance(actor, Policy):
+        # called as get(state, rng), the rng lands in get's unused default
+        play, policy_id = dict(enumerate(map(int, actor.actions))).get, actor.policy_id
+    else:
+        play, policy_id = actor, "random"
     returns = tuple(
         run_episode(play, env, rng) for rng in spawn_rngs(base_seed, "rollout", count=num_rollouts)
     )
-    policy_id = getattr(actor, "policy_id", None) or "random"
     return EvaluationReport(
         policy_id=policy_id,
         num_rollouts=num_rollouts,

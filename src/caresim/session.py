@@ -135,7 +135,7 @@ def run_session(
         if utterance:
             ctx.history.append(("Caregiver", utterance))
 
-        step = env.step(action)
+        step = env.step(int(action))  # an exact int, on which the step runs in its specialized int forms
         total += step.reward
 
         lines.extend(

@@ -174,6 +174,10 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.actions) != NUM_STATES:
             raise ValueError("a policy must define an action for all 16 states")
+        for state, entry in enumerate(self.actions):
+            if not (isinstance(entry, AssistAction) or type(entry) is int and 0 <= entry < NUM_ACTIONS):
+                raise ValueError(f"the action for state {state} must be an assistance level 0-3, got {entry!r}")
+        object.__setattr__(self, "actions", tuple([ACTIONS[entry] for entry in self.actions]))
 
     def __call__(self, state: int, rng: random.Random | None = None) -> AssistAction:
         return self.actions[state]
@@ -187,7 +191,7 @@ class Policy:
     def from_id(cls, policy_id: str) -> "Policy":
         if not is_policy_id(policy_id):
             raise ValueError(f"malformed policy id: {policy_id!r}")
-        return cls(tuple([ACTIONS[int(c)] for c in policy_id]))
+        return cls(tuple(map(int, policy_id)))
 
     def to_file(self, path: str | Path) -> None:
         rows = [[index, action.code] for index, action in enumerate(self.actions)]

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from caresim import (
@@ -16,6 +17,7 @@ from caresim import (
     Policy,
     TrainingConfig,
     epsilon_at,
+    evaluate_policy,
     extract_policy,
     train,
 )
@@ -28,7 +30,8 @@ from caresim.agent import (
     q_update,
     select_action,
 )
-from caresim.states import flip_index
+from caresim.seeding import derive_seed
+from caresim.states import ACTIONS, flip_index
 
 A0, A1, A2, A3 = AssistAction
 
@@ -302,6 +305,27 @@ def test_a_qtable_or_policy_of_the_wrong_shape_is_rejected():
         Policy((A0,) * 15)
 
 
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=16, max_size=16))
+def test_a_policy_takes_members_and_exact_ints_and_holds_members(tmp_path, entries):
+    digits = "".join(str(digit) for digit, _ in entries)
+    policy = Policy(tuple(ACTIONS[digit] if member else digit for digit, member in entries))
+    expected = Policy.from_id(digits)
+    assert policy == expected and policy.policy_id == digits
+    assert all(type(policy(state)) is AssistAction for state in range(16))
+    policy.to_file(tmp_path / "policy.csv")
+    expected.to_file(tmp_path / "expected.csv")
+    assert (tmp_path / "policy.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+@given(st.integers(0, 15), st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
+                                     st.integers().filter(lambda i: not 0 <= i <= 3)))
+def test_a_policy_rejects_any_other_entry_and_names_the_first(state, entry):
+    actions = [A0] * state + [entry] + [-1] * (15 - state)
+    with pytest.raises(ValueError, match=rf"state {state} must be .* got {re.escape(repr(entry))}$"):
+        Policy(tuple(actions))
+
+
 @pytest.mark.parametrize("row", [
     "snapshot,\u0663,,0.1,{id},", "final,,\u0663,,{id},", "snapshot,x,,0.1,{id},", "final,,,,{id},",
     "snapshot,3,,0.1,{id},\uff11", "snapshot,3,, 0.1,{id},",
@@ -377,6 +401,35 @@ def test_train_log_shape(model, scenario, weights):
         assert record.epsilon == 0.1
         assert record.mean_return is not None
         assert len(record.policy_id) == 16
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_each_epoch_logs_the_policy_after_its_snapshot_episode_scored_on_its_own_stream(model, scenario, weights,
+                                                                                       data):
+    epochs = data.draw(st.integers(1, 3), "epochs")
+    episodes = data.draw(st.integers(1, 6), "episodes_per_epoch")
+    config = small_config(
+        model, scenario, weights,
+        seed=data.draw(st.integers(0, 2**31), "seed"),
+        schedule=data.draw(st.sampled_from([ConstantEpsilon(0.3), ExponentialDecayEpsilon(decay_rate=0.7)])),
+        epochs=epochs,
+        episodes_per_epoch=episodes,
+        snapshot_episode=data.draw(st.integers(1, episodes), "snapshot_episode"),
+        snapshot_rollouts=data.draw(st.integers(0, 3), "snapshot_rollouts"),
+        final_policy_window=epochs * episodes,  # a greedy policy recorded after every episode
+    )
+    _, log = train(config)
+    env = CaregivingEnv(model, scenario, weights)
+    assert [episode for episode, _ in log.final_policies] == list(range(epochs * episodes))
+    assert [record.epoch for record in log.epochs] == list(range(epochs))
+    n = config.snapshot_rollouts
+    for epoch, record in enumerate(log.epochs):
+        assert record.policy_id == log.final_policies[epoch * episodes + config.snapshot_episode - 1][1]
+        assert record.epsilon == epsilon_at(config.schedule, epoch)
+        expected = evaluate_policy(Policy.from_id(record.policy_id), env, n,
+                                   derive_seed(config.seed, "snapshot", epoch)).mean_return if n else None
+        assert record.mean_return == expected
 
 
 def test_training_log_file_round_trip(tmp_path, model, scenario, weights):

@@ -279,6 +279,31 @@ def test_evaluate_select_final(tmp_path, capsys):
     assert len(chosen.policy_id) == 16
 
 
+@pytest.mark.parametrize("argv", [
+    [],  # the train run itself
+    ["evaluate", "--policy", "{run}/policy.csv", "--rollouts", "3"],
+    ["evaluate", "--baseline", "random", "--rollouts", "3"],
+    ["evaluate", "--select-final", "--log", "{run}/training_log.csv", "--rollouts", "3"],
+    ["simulate", "--policy", "{run}/policy.csv"],
+    ["simulate", "--policy", "{run}/policy.csv", "--noise", "0.3", "--use-perceived"],
+], ids=["train", "policy", "baseline", "select-final", "simulate", "simulate-perceived"])
+def test_every_command_steps_the_environment_on_exact_ints(tmp_path, monkeypatch, argv):
+    actions = []
+    step = CaregivingEnv.step
+
+    def recorded(self, action):
+        actions.append(action)
+        return step(self, action)
+
+    monkeypatch.setattr(CaregivingEnv, "step", recorded)
+    run = run_train(tmp_path)
+    if argv:
+        actions.clear()
+        assert main([arg.format(run=run) for arg in argv] + ["--out-dir", str(tmp_path / "o")]) == 0
+    assert actions
+    assert {type(action) for action in actions} == {int}
+
+
 @pytest.mark.parametrize("newline", [b"\r\n", b"\n"], ids=["crlf", "lf"])
 def test_select_final_manifest_records_the_digest_of_the_log_bytes(tmp_path, newline):
     log_path = run_train(tmp_path) / "training_log.csv"
