@@ -105,11 +105,16 @@ def format_state_marker(state: StatusVector) -> str:
     return f"[state f={state.forgetful} c={state.confused} a={state.angry} d={state.disengaged}]"
 
 
+# every text the pattern matches, to the member of ALL_STATES that it spells
+_STATES_BY_MARKER = {format_state_marker(state): state for state in ALL_STATES}
+
+
 def parse_state_marker(text: str) -> StatusVector:
+    """The member of ``ALL_STATES`` spelled by the first state marker in ``text``."""
     match = _MARKER_RE.search(text)
     if match is None:
         raise BackendError(f"no state marker found in behavior text: {text!r}")
-    return StatusVector(*(int(g) for g in match.groups()))
+    return _STATES_BY_MARKER[match.group()]
 
 
 # --------------------------------------------------------------------------

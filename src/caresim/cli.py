@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .agent import SCHEDULES, QTable, TrainingConfig, TrainingLog, extract_policy, train
 from .behavior import ASSIST_GUIDANCE, BackendError, PromptVariant, TemplateBackend
-from .config import ConfigError, Document, integer, number, read_bytes, settings, write_json, write_text
+from .config import ConfigError, Document, integer, number, path, read_bytes, settings, write_json, write_text
 from .env import DOCUMENTS, CaregivingEnv
 from .evaluation import (
     EVALUATE_ROLLOUTS,
@@ -45,11 +45,11 @@ def _load_environment(args) -> dict[str, Document]:
 
 
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", help="scenario config JSON (default: shipped shopping scenario)")
-    parser.add_argument("--model", help="transition model config JSON (default: shipped calibration)")
-    parser.add_argument("--weights", help="reward weights config JSON (default: shipped weights)")
+    parser.add_argument("--scenario", type=path, help="scenario config JSON (default: shipped shopping scenario)")
+    parser.add_argument("--model", type=path, help="transition model config JSON (default: shipped calibration)")
+    parser.add_argument("--weights", type=path, help="reward weights config JSON (default: shipped weights)")
     parser.add_argument("--seed", type=integer, default=0)
-    parser.add_argument("--out-dir", default="caresim_out", help="directory for run outputs")
+    parser.add_argument("--out-dir", type=path, default="caresim_out", help="directory for run outputs")
 
 
 def _from_args(cls, args, **required):
@@ -103,13 +103,15 @@ def _passes_through(path: str, manifest: Path) -> bool:
 def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
-    ``config`` is the ``to_dict()`` of the value the command runs. An output
-    path that is a directory (or ``out_dir`` or above it, by normalized
-    absolute path), the manifest, or a file the command read (by device and
-    inode, so a symlink or another spelling is caught) is an error, as is an
-    output path or ``out_dir`` whose leading directories, as written, pass
-    through the manifest (``o/manifest.json/x``). Then the directories that
-    will hold the outputs are created, so no manifest is left by a run that
+    ``config`` is the ``to_dict()`` of the value the command runs, and each
+    output path is spelled as ``str(Path(...))`` spells it. An output path
+    that is a directory (or ``out_dir`` or above it, by normalized absolute
+    path), the manifest, a symlink loop, or a file the command read (by
+    device and inode, so a symlink or another spelling is caught) is an
+    error, as is an output path or ``out_dir`` whose leading directories, as
+    written, pass through the manifest (``o/manifest.json/x``). The checks
+    go by path string. Then the directories that will hold the outputs are
+    created where they are missing, so no manifest is left by a run that
     could not write its outputs there, no run replaces its own input, and no
     run makes a directory of its manifest's path. The manifest text is
     ``json.dumps(manifest, indent=2)`` and a newline; ``render_json`` splices
@@ -124,18 +126,22 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
             raise ConfigError(f"{name} path {path} passes through the run's manifest")
     out = os.path.join(os.path.abspath(out_dir), "")  # a trailing separator, so a prefix matches whole components
     for name, path in outputs.items():
-        if Path(path).is_dir() or out.startswith(os.path.join(os.path.abspath(path), "")):
+        if os.path.isdir(path) or out.startswith(os.path.join(os.path.abspath(path), "")):
             raise ConfigError(f"{name} path {path} is a directory")
-        # only a path named manifest.json or a symlink can resolve to it; resolving costs ~50 us
-        if ((Path(path).name == manifest.name or Path(path).is_symlink())
-                and Path(path).resolve() == manifest.resolve()):
-            raise ConfigError(f"{name} path {path} is the run's manifest")
+        # only a path named manifest.json or a symlink can resolve to it; resolving lstats each component
+        if os.path.basename(path) == manifest.name or os.path.islink(path):
+            resolved = os.path.realpath(path)
+            if resolved == os.path.realpath(manifest):
+                raise ConfigError(f"{name} path {path} is the run's manifest")
+            if os.path.islink(resolved):  # where realpath stops on a symlink loop
+                raise ConfigError(f"{name} path {path} is a symlink loop")
     for name, path in {**outputs, "manifest": str(manifest)}.items():
         file_id = _file_id(path)
         if file_id in read:
             raise ConfigError(f"{name} path {path} is the {read[file_id]}")
-    for parent in dict.fromkeys([out_dir, *(Path(path).parent for path in outputs.values())]):
-        parent.mkdir(parents=True, exist_ok=True)
+    for parent in dict.fromkeys([str(out_dir), *map(os.path.dirname, outputs.values())]):
+        if parent and not os.path.isdir(parent):  # "" is the working directory
+            os.makedirs(parent, exist_ok=True)
     write_json(manifest, {
         "command": args.command,
         "version": __version__,
@@ -300,19 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a policy or baseline")
     _add_environment_flags(p_eval)
-    p_eval.add_argument("--policy", help="policy file to evaluate")
+    p_eval.add_argument("--policy", type=path, help="policy file to evaluate")
     p_eval.add_argument("--baseline", choices=("random",), help="evaluate a baseline actor instead")
     p_eval.add_argument("--rollouts", type=integer, default=None,
                         help=f"rollout count (default {EVALUATE_ROLLOUTS}; "
                              f"{SELECT_FINAL_ROLLOUTS} for --select-final)")
     p_eval.add_argument("--select-final", action="store_true",
                         help="select the best late-training policy from a training log")
-    p_eval.add_argument("--log", help="training log for --select-final")
+    p_eval.add_argument("--log", type=path, help="training log for --select-final")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sim = sub.add_parser("simulate", help="run one full interaction episode with transcript")
     _add_environment_flags(p_sim)
-    p_sim.add_argument("--policy", required=True)
+    p_sim.add_argument("--policy", type=path, required=True)
     p_sim.add_argument("--backend", choices=("template", "http"), default="template")
     p_sim.add_argument("--noise", type=number, default=0.0, help="perception bit-flip probability")
     p_sim.add_argument("--use-perceived", action="store_true",
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_setting("--guidance", choices=ASSIST_GUIDANCE)
     add_setting("--include-state", action="store_true",
                 help="include the true state in assistance prompts")
-    p_sim.add_argument("--transcript", help="transcript path (default: OUT_DIR/transcript.txt)")
+    p_sim.add_argument("--transcript", type=path, help="transcript path (default: OUT_DIR/transcript.txt)")
     p_sim.add_argument("--base-url", help="chat-completions endpoint base URL (http backend)")
     p_sim.add_argument("--llm-model", help="model name for the http backend")
     add_setting("--temperature", type=number)

@@ -16,7 +16,8 @@ flags go through the same ones as the files: ``parse_float`` reads a CSV cell
 (``read_float``) and a float flag (``number``), ``is_count`` a CSV count and
 ``integer`` an integer flag. A zero that configures a run (a flag, a
 probability, a reward weight) is read as 0.0, so documents equal in value are
-equal values with equal text; an artifact cell keeps its sign.
+equal values with equal text; an artifact cell keeps its sign. Every flag that
+names a file is read by ``path``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,16 @@ class ConfigError(ValueError):
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of an input file; ``what`` names the file in the error."""
+    """The bytes of an input file; ``what`` names the file in the error.
+
+    Read unbuffered, in one ``readall``. A path the system cannot take (one
+    holding a NUL) is a ConfigError too, as ``path`` rejects it on the
+    command line.
+    """
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
+        with open(path, "rb", buffering=0) as file:
+            return file.readall()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -245,6 +252,19 @@ def integer(text: str) -> int:
     if not is_count(text.removeprefix("-")):
         raise ValueError(f"not an integer in ASCII digits: {text!r}")
     return int(text)
+
+
+def path(text: str) -> str:
+    """A path flag, as given, if the system can take it as a path; the ``type`` of every one.
+
+    A NUL, or a lone surrogate that ``os.fsencode`` cannot turn back into
+    bytes, is a ValueError here rather than deep inside ``os`` once the run
+    has begun. A shell passes neither; a caller of ``main`` can.
+    """
+    if "\x00" in text:
+        raise ValueError(f"a path holds no NUL: {text!r}")
+    os.fsencode(text)
+    return text
 
 
 def read_integer(value: Any, where: str, minimum: int | None = None) -> int:

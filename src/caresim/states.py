@@ -48,12 +48,24 @@ class StatusVector(NamedTuple):
         return cls(0, 0, 0, 0)
 
     def validate(self) -> None:
+        """Raise a ValueError naming the first field that is not 0 or 1.
+
+        A vector equal to a member of ``ALL_STATES`` passes in one set lookup;
+        the loop judges every other one (an unhashable field raises TypeError
+        in the lookup) and names its first bad field.
+        """
+        try:
+            if self in _STATES:
+                return
+        except TypeError:
+            pass
         for name, value in zip(STATUS_NAMES, self):
             if value not in (0, 1):
                 raise ValueError(f"status '{name}' must be 0 or 1, got {value!r}")
 
 
 ALL_STATES = tuple(StatusVector.from_index(i) for i in range(NUM_STATES))
+_STATES = frozenset(ALL_STATES)
 
 
 class AssistAction(IntEnum):
@@ -70,7 +82,7 @@ class AssistAction(IntEnum):
     @property
     def code(self) -> str:
         """Short identifier used in files and on the command line (a0-a3)."""
-        return f"a{self.value}"
+        return _ACTION_CODES[self]
 
     @property
     def label(self) -> str:
@@ -92,6 +104,7 @@ _ACTION_LABELS = {
 }
 
 ACTIONS = tuple(AssistAction)
+_ACTION_CODES = tuple(f"a{action.value}" for action in ACTIONS)
 NUM_ACTIONS = len(ACTIONS)
 _ACTIONS_BY_CODE = {a.code: a for a in ACTIONS}
 

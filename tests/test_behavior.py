@@ -51,6 +51,23 @@ def ctx():
     )
 
 
+# text in which no marker can begin before the one put after it
+_NO_MARKER = st.text(st.characters(blacklist_characters="["))
+
+
+@given(_NO_MARKER, st.integers(0, 15), st.text())
+def test_parse_state_marker_returns_the_member_of_all_states_that_the_marker_spells(before, index, after):
+    marker = format_state_marker(StatusVector.from_index(index))
+    assert parse_state_marker(before + marker + after) is ALL_STATES[index]
+
+
+@given(_NO_MARKER)
+def test_parse_state_marker_without_a_marker_is_a_backend_error(text):
+    with pytest.raises(BackendError) as raised:
+        parse_state_marker(text)
+    assert str(raised.value) == f"no state marker found in behavior text: {text!r}"
+
+
 def test_round_trip_all_states(backend, ctx):
     for state in ALL_STATES:
         behavior = narrate(state, ctx, backend)

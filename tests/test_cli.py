@@ -618,6 +618,42 @@ def test_simulate_transcript_under_a_file_is_an_error_before_writing_manifest(tm
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+def test_the_output_directories_are_created_where_missing(tmp_path, monkeypatch):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old").mkdir()
+    argv = ["simulate", "--policy", str(policy), "--noise", "0.2", "--use-perceived"]
+    assert main([*argv, "--out-dir", "o/deep", "--transcript", "n/deep/new/t.txt"]) == 0
+    assert main([*argv, "--out-dir", "old", "--transcript", "t.txt"]) == 0  # every directory is there already
+    assert (tmp_path / "o" / "deep" / "manifest.json").is_file() and (tmp_path / "old" / "manifest.json").is_file()
+    assert (tmp_path / "n" / "deep" / "new" / "t.txt").read_bytes() == (tmp_path / "t.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, parent", [(["--transcript", "afile/t.txt"], "afile"), (["--out-dir", "afile"], "afile")],
+                         ids=["transcript-under-a-file", "out-dir-is-a-file"])
+def test_an_output_directory_that_is_a_file_is_one_error_line_before_writing_manifest(tmp_path, capsys,
+                                                                                      monkeypatch, flags, parent):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(["simulate", "--policy", str(policy), "--out-dir", "o", *flags]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{parent}'\n"
+    assert not list(tmp_path.rglob("manifest.json"))
+
+
+def test_a_transcript_that_is_a_symlink_loop_is_an_error_before_writing_anything(tmp_path, capsys):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    (tmp_path / "loop").symlink_to("loop")
+    code = main(["simulate", "--policy", str(policy), "--transcript", str(tmp_path / "loop"),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: transcript path {tmp_path / 'loop'} is a symlink loop\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "loop", policy]
+
+
 def test_simulate_transcript_that_is_a_directory_is_an_error_before_writing_manifest(tmp_path, capsys):
     out = run_train(tmp_path)
     (tmp_path / "adir").mkdir()
@@ -795,14 +831,43 @@ NUMERIC_FLAGS = [
 ]
 
 
+# every flag that names a file once, under a command that takes it (the first four are flags of all three)
+PATH_FLAGS = [("train", flag) for flag in ("--scenario", "--model", "--weights", "--out-dir")] + [
+    ("evaluate", "--policy"), ("evaluate", "--log"), ("simulate", "--policy"), ("simulate", "--transcript")]
+
+
+def _typed_flags() -> dict[str, set[str]]:
+    """The flags that ``cli.py`` gives a ``type``, under the name of that type."""
+    typed: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(Path(caresim.cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            for keyword in node.keywords:
+                if keyword.arg == "type":
+                    typed.setdefault(keyword.value.id, set()).add(node.args[0].value)
+    return typed
+
+
 def test_the_numeric_flag_cases_are_every_numeric_flag():
-    typed = {
-        node.args[0].value
-        for node in ast.walk(ast.parse(Path(caresim.cli.__file__).read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
-        and any(keyword.arg == "type" for keyword in node.keywords)
-    }
-    assert len(NUMERIC_FLAGS) == 18 and typed == {flag for _, flag in NUMERIC_FLAGS}
+    typed = _typed_flags()
+    assert len(NUMERIC_FLAGS) == 18 and typed["integer"] | typed["number"] == {flag for _, flag in NUMERIC_FLAGS}
+
+
+def test_the_path_flag_cases_are_every_path_flag_and_every_flag_has_a_checked_type():
+    typed = _typed_flags()
+    assert typed.keys() == {"integer", "number", "path"}
+    assert typed["path"] == {flag for _, flag in PATH_FLAGS}
+
+
+@pytest.mark.parametrize("value", ["a\x00b", "\x00", "\ud800"], ids=["nul", "only-nul", "lone-surrogate"])
+@pytest.mark.parametrize("command, flag", PATH_FLAGS)
+def test_a_path_flag_that_no_path_can_be_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    argv = {"train": ["train"], "evaluate": ["evaluate", "--baseline", "random"],
+            "simulate": ["simulate", "--policy", str(tmp_path / "policy.csv")]}[command]
+    Policy.from_id("0123012301230123").to_file(tmp_path / "policy.csv")
+    out = ["--out-dir", str(tmp_path / "o")] if flag != "--out-dir" else []
+    assert main([*argv, *out, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: caresim {command}: argument {flag}: invalid path value: {value!r}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "policy.csv"]
 
 
 # Arabic-Indic one, fullwidth five, a digit group separator and a leading space: int and float

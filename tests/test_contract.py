@@ -2,10 +2,11 @@
 
 Hypothesis draws argv for each command, with numeric text as the flag tests
 draw it: numbers as ``repr`` writes them, other scripts' digits, digit group
-separators, whitespace and words. The runs are kept small (``train`` at one
-epoch, ``evaluate`` at most 2 rollouts, ``simulate`` on the template backend),
-and the HTTP flags come only in combinations that are rejected before any
-connection is made.
+separators, whitespace and words. Now and then an input or an output option
+names a path that no run can use: one holding a NUL, or, for an output, a
+symlink loop. The runs are kept small (``train`` at one epoch, ``evaluate``
+at most 2 rollouts, ``simulate`` on the template backend), and the HTTP flags
+come only in combinations that are rejected before any connection is made.
 """
 
 from __future__ import annotations
@@ -55,7 +56,19 @@ def flags(*options: st.SearchStrategy) -> st.SearchStrategy:
     return st.tuples(*options).flatmap(st.permutations).map(lambda parts: sum(parts, []))
 
 
-def train_argv(_files) -> st.SearchStrategy:
+DOCUMENT_OPTIONS = ["--model", "--scenario", "--weights"]
+
+
+def unusable(files, inputs: list[str], outputs: list[str]) -> st.SearchStrategy:
+    """Rarely, one of ``inputs`` naming a path with a NUL, or one of ``outputs`` (or ``--out-dir``) naming
+    such a path or a symlink loop."""
+    return often(st.just([]), st.one_of(
+        st.tuples(st.sampled_from(inputs), st.just(files["nul"])),
+        st.tuples(st.sampled_from([*outputs, "--out-dir"]), st.sampled_from([files["nul"], files["loop"]])),
+    ).map(list))
+
+
+def train_argv(files) -> st.SearchStrategy:
     schedule = often(st.sampled_from(["constant", "decay"]), st.just("linear"))
     return st.tuples(schedule, st.sampled_from(["constant", "decay"])).flatmap(lambda kinds: flags(
         st.just(["--epochs", "1", "--schedule", kinds[0]]),
@@ -71,6 +84,7 @@ def train_argv(_files) -> st.SearchStrategy:
         optional("--gamma", probabilities),
         optional("--perception-noise", probabilities),
         optional("--seed", seeds),
+        unusable(files, DOCUMENT_OPTIONS, []),
     )).map(lambda argv: ["train", *argv])
 
 
@@ -85,6 +99,7 @@ def evaluate_argv(files) -> st.SearchStrategy:
         often(one_mode, every_combination),
         counts(1, 2).map(lambda n: ["--rollouts", n]),
         optional("--seed", seeds),
+        unusable(files, [*DOCUMENT_OPTIONS, "--policy", "--log"], []),
     ).map(lambda argv: ["evaluate", *argv])
 
 
@@ -117,6 +132,7 @@ def simulate_argv(files) -> st.SearchStrategy:
         st.sampled_from([[], ["--include-state"]]),
         optional("--seed", seeds),
         often(st.just([]), http),
+        unusable(files, [*DOCUMENT_OPTIONS, "--policy"], ["--transcript"]),
     ).map(lambda argv: ["simulate", *argv])
 
 
@@ -125,8 +141,9 @@ def files(tmp_path_factory) -> dict[str, str]:
     folder = tmp_path_factory.mktemp("inputs")
     assert main(["train", "--epochs", "1", "--episodes", "3", "--snapshot-episode", "1", "--snapshot-rollouts", "1",
                  "--out-dir", str(folder)]) == 0
+    (folder / "loop").symlink_to("loop")
     return {"policy": str(folder / "policy.csv"), "log": str(folder / "training_log.csv"),
-            "missing": str(folder / "missing.csv")}
+            "missing": str(folder / "missing.csv"), "nul": str(folder / "a\x00b.csv"), "loop": str(folder / "loop")}
 
 
 _runs = itertools.count()
@@ -144,7 +161,8 @@ def test_every_run_exits_0_or_exits_1_with_one_error_line_and_no_manifest(files,
         out = base / str(next(_runs))
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out-dir", str(out)])
+            # a drawn --out-dir comes later and wins
+            code = main([argv[0], "--out-dir", str(out), *argv[1:]])
         if code == 0:
             assert (out / "manifest.json").is_file()
         else:

@@ -106,7 +106,7 @@ def test_modules_import_one_another_in_one_direction():
 
 # calls that open, read or write a file: a bare ``open``, a method (``.name``),
 # or a function of the csv and json modules
-FILE_CALLS = {"open", ".open", ".read_bytes", ".read_text", ".write_bytes", ".write_text",
+FILE_CALLS = {"open", ".open", ".read_bytes", ".read_text", ".readall", ".write_bytes", ".write_text",
               "csv.reader", "csv.writer", "json.dump", "json.load"}
 
 
@@ -136,7 +136,7 @@ def test_only_config_touches_files():
         for scope, name in _file_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     }
     in_config = {name for module, _, name in calls if module == "config.py"}
-    assert {".open", ".read_bytes"} <= in_config  # the scan sees config's own I/O (os.open, Path.read_bytes)
+    assert {".open", "open", ".readall"} <= in_config  # the scan sees config's own I/O (os.open, open().readall)
     assert {call for call in calls if call[0] != "config.py"} == set()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from caresim import AssistAction, StatusVector
-from caresim.states import ALL_STATES, NUM_STATES, flip_index
+from caresim.states import ALL_STATES, NUM_STATES, STATUS_NAMES, flip_index
 
 
 def test_index_packs_bit_order_forgetful_first():
@@ -33,6 +34,23 @@ def test_from_index_rejects_out_of_range():
 def test_validate_rejects_non_binary():
     with pytest.raises(ValueError):
         StatusVector(2, 0, 0, 0).validate()
+
+
+# a list stands for an unhashable field
+@given(st.tuples(*[st.sampled_from([0, 1, True, False, 0.0, 1.0, 2, -1, 0.5, "1", None, math.nan, []])] * 4))
+def test_validate_accepts_exactly_the_vectors_whose_every_field_is_0_or_1(fields):
+    bad = next(((name, value) for name, value in zip(STATUS_NAMES, fields) if value not in (0, 1)), None)
+    if bad is None:
+        StatusVector(*fields).validate()
+    else:
+        with pytest.raises(ValueError) as raised:
+            StatusVector(*fields).validate()
+        assert str(raised.value) == f"status '{bad[0]}' must be 0 or 1, got {bad[1]!r}"
+
+
+@given(st.sampled_from(AssistAction))
+def test_an_action_code_is_a_and_its_value(action):
+    assert action.code == f"a{int(action)}"
 
 
 def test_all_states_covers_the_space():
