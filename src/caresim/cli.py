@@ -12,6 +12,7 @@ is the reference experiment.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import os
 import sys
@@ -81,39 +82,17 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
     return status.st_dev, status.st_ino
 
 
-def _passes_through(path: str, manifest: Path) -> bool:
-    """Whether a leading directory of ``path``, as written, is ``manifest`` by normalized absolute path.
-
-    ``a/manifest.json/../x`` passes through ``a/manifest.json``. String operations only, nothing is
-    stat'ed. Only a leading path that ends in a component with the manifest's name can normalize to
-    it, so a path without that name is done at once, and only such a leading path is made absolute.
-    """
-    name = manifest.name
-    if name not in path:
-        return False
-    target = os.path.abspath(manifest)
-    head = os.path.dirname(path)
-    while head and head != (parent := os.path.dirname(head)):
-        if os.path.basename(head) == name and os.path.abspath(head) == target:
-            return True
-        head = parent
-    return False
-
-
 def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
     ``config`` is the ``to_dict()`` of the value the command runs, and each
-    output path is spelled as ``str(Path(...))`` spells it. An output path
-    that is a directory (or ``out_dir`` or above it, by normalized absolute
-    path), the manifest, a symlink loop, or a file the command read (by
-    device and inode, so a symlink or another spelling is caught) is an
-    error, as is an output path or ``out_dir`` whose leading directories, as
-    written, pass through the manifest (``o/manifest.json/x``). The checks
-    go by path string. Then the directories that will hold the outputs are
-    created where they are missing, so no manifest is left by a run that
-    could not write its outputs there, no run replaces its own input, and no
-    run makes a directory of its manifest's path. The manifest text is
+    output path is spelled as ``str(Path(...))`` spells it. The run makes
+    ``out_dir`` and each output's parent with every leading directory of each,
+    as written (``a/b/../c`` makes ``a/b``); by normalized absolute path, none
+    may be the manifest (``o/manifest.json/x``) or an output. Nor may an output
+    be a directory, the manifest, a symlink loop or a file the command read,
+    nor a directory to make lie under a file. Only then are the missing
+    directories made, so a failed run leaves nothing behind. The manifest is
     ``json.dumps(manifest, indent=2)`` and a newline; ``render_json`` splices
     in each document's ``indented_json``.
     """
@@ -121,12 +100,20 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
     read = {_file_id(path): f"--{option} file {path}"
             for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
     read.pop(None, None)
-    for name, path in {"--out-dir": str(out_dir), **outputs}.items():
-        if _passes_through(path, manifest):
-            raise ConfigError(f"{name} path {path} passes through the run's manifest")
-    out = os.path.join(os.path.abspath(out_dir), "")  # a trailing separator, so a prefix matches whole components
+    absolute = {path: os.path.abspath(path) for path in outputs.values()}
+    names = {manifest.name, *map(os.path.basename, absolute.values())}
+    made = {}  # each directory the run makes or passes through, by absolute path: the first (name, path) to it
+    for name, path, head in [("--out-dir", str(out_dir), str(out_dir)),
+                             *((name, path, os.path.dirname(path)) for name, path in outputs.items())]:
+        while head != (parent := os.path.dirname(head)) and any(file in head for file in names):
+            if os.path.basename(head) in names:  # only such a head can normalize to a file
+                made.setdefault(os.path.abspath(head), (name, path))
+            head = parent
+    if first := made.get(os.path.abspath(manifest)):
+        raise ConfigError("%s path %s passes through the run's manifest" % first)
     for name, path in outputs.items():
-        if os.path.isdir(path) or out.startswith(os.path.join(os.path.abspath(path), "")):
+        # as written, and as "a/../t" will be once "a" is made
+        if absolute[path] in made or os.path.isdir(path) or ".." in path and os.path.isdir(absolute[path]):
             raise ConfigError(f"{name} path {path} is a directory")
         # only a path named manifest.json or a symlink can resolve to it; resolving lstats each component
         if os.path.basename(path) == manifest.name or os.path.islink(path):
@@ -139,9 +126,19 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
         file_id = _file_id(path)
         if file_id in read:
             raise ConfigError(f"{name} path {path} is the {read[file_id]}")
-    for parent in dict.fromkeys([str(out_dir), *map(os.path.dirname, outputs.values())]):
-        if parent and not os.path.isdir(parent):  # "" is the working directory
-            os.makedirs(parent, exist_ok=True)
+    missing = [parent for parent in dict.fromkeys([str(out_dir), *map(os.path.dirname, outputs.values())])
+               if parent and not os.path.isdir(parent)]  # "" is the working directory
+    for parent in missing:
+        heads = [parent]  # up to the nearest that exists as written
+        while heads[-1] and not os.path.lexists(heads[-1]):
+            heads.append(os.path.dirname(heads[-1]))
+        # top down, each as it is once those above it are made: where os.makedirs fails, and how
+        for below, head in reversed(list(zip([parent, *heads], heads))):
+            if os.path.lexists(view := os.path.normpath(head)) and not os.path.isdir(view):
+                code = errno.EEXIST if head == below else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), below)
+    for parent in missing:
+        os.makedirs(parent, exist_ok=True)
     write_json(manifest, {
         "command": args.command,
         "version": __version__,

@@ -43,12 +43,17 @@ class ScenarioSpec(Document):
     tasks: tuple[TaskSpec, ...]
 
     def __post_init__(self) -> None:
+        # names are checked wherever a value is built, as the transcript writes them as they are
+        read_name(self.name, "scenario name")
         read_integer(self.max_trial, "max_trial", 1)
         if not self.tasks:
             raise ConfigError("scenario must contain at least one task")
         for task in self.tasks:
+            read_name(task.name, "task name")
             if not task.subtasks:
                 raise ConfigError(f"task {task.name!r} must contain at least one subtask")
+            for subtask in task.subtasks:
+                read_name(subtask, f"subtask name in task {task.name!r}")
         if self.max_episode_steps > MAX_EPISODE_STEPS:
             raise ConfigError(f"scenario allows {self.max_episode_steps} steps per episode "
                               f"(max_trial x subtasks), above the limit of {MAX_EPISODE_STEPS}")
@@ -77,18 +82,15 @@ class ScenarioSpec(Document):
     @classmethod
     def from_dict(cls, doc: Any) -> "ScenarioSpec":
         doc = read_object(doc, "scenario", ("name", "max_trial", "tasks"))
-        name = read_name(doc["name"], "scenario name")
         if not isinstance(doc["tasks"], list):
             raise ConfigError("scenario tasks must be a list")
         tasks = []
         for task_doc in doc["tasks"]:
             task_doc = read_object(task_doc, "scenario task", ("name", "subtasks"))
-            task_name = read_name(task_doc["name"], "task name")
             if not isinstance(task_doc["subtasks"], list):
-                raise ConfigError(f"subtasks of task {task_name!r} must be a list of names")
-            subtasks = tuple(read_name(s, f"subtask name in task {task_name!r}") for s in task_doc["subtasks"])
-            tasks.append(TaskSpec(task_name, subtasks))
-        return cls(name=name, max_trial=doc["max_trial"], tasks=tuple(tasks))
+                raise ConfigError(f"subtasks of task {task_doc['name']!r} must be a list of names")
+            tasks.append(TaskSpec(task_doc["name"], tuple(task_doc["subtasks"])))
+        return cls(name=doc["name"], max_trial=doc["max_trial"], tasks=tuple(tasks))
 
     def to_dict(self) -> dict:
         return {

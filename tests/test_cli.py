@@ -641,6 +641,7 @@ def test_an_output_directory_that_is_a_file_is_one_error_line_before_writing_man
     assert main(["simulate", "--policy", str(policy), "--out-dir", "o", *flags]) == 1
     assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{parent}'\n"
     assert not list(tmp_path.rglob("manifest.json"))
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "afile", policy]  # no --out-dir made before the error
 
 
 def test_a_transcript_that_is_a_symlink_loop_is_an_error_before_writing_anything(tmp_path, capsys):
@@ -664,7 +665,10 @@ def test_simulate_transcript_that_is_a_directory_is_an_error_before_writing_mani
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("out_dir, transcript", [("s1", "s1"), ("s3/x", "s3"), ("s4", "s4/x/..")])
+@pytest.mark.parametrize("out_dir, transcript", [("s1", "s1"), ("s3/x", "s3"), ("s4", "s4/x/.."),
+                                                 # the run makes each leading directory of --out-dir as written
+                                                 ("k/../k2", "k"), ("a/b/../c", "a/b"), ("a/t.txt/../o", "a/t.txt"),
+                                                 ("o", "t.txt/x/../../t.txt")])
 def test_simulate_transcript_that_is_the_out_dir_or_above_it_is_an_error_before_creating_anything(
         tmp_path, capsys, monkeypatch, out_dir, transcript):
     # each names a directory that the run would create, so it is no file yet
@@ -674,6 +678,13 @@ def test_simulate_transcript_that_is_the_out_dir_or_above_it_is_an_error_before_
     assert main(["simulate", "--policy", str(policy), "--out-dir", out_dir, "--transcript", transcript]) == 1
     assert capsys.readouterr().err == f"error: transcript path {transcript} is a directory\n"
     assert list(tmp_path.iterdir()) == [policy]
+
+
+def test_an_out_dir_that_backs_out_of_an_output_is_an_error_before_creating_anything(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--epochs", "1", "--episodes", "10", "--out-dir", "o/qtable.csv/.."]) == 1
+    assert capsys.readouterr().err == "error: qtable path o/qtable.csv/../qtable.csv is a directory\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("transcript", ["manifest.json", "new/../manifest.json", "link"])

@@ -4,9 +4,13 @@ Hypothesis draws argv for each command, with numeric text as the flag tests
 draw it: numbers as ``repr`` writes them, other scripts' digits, digit group
 separators, whitespace and words. Now and then an input or an output option
 names a path that no run can use: one holding a NUL, or, for an output, a
-symlink loop. The runs are kept small (``train`` at one epoch, ``evaluate``
-at most 2 rollouts, ``simulate`` on the template backend), and the HTTP flags
-come only in combinations that are rejected before any connection is made.
+symlink loop. About half the time ``--out-dir`` (and for ``simulate``,
+``--transcript``) names a path in the example's own folder, spelled with ``.``,
+``..``, the run's file names and a regular file: a run that exits 1 must leave
+that folder as it found it, with no manifest and no directory made. The runs
+are kept small (``train`` at one epoch, ``evaluate`` at most 2 rollouts,
+``simulate`` on the template backend), and the HTTP flags come only in
+combinations that are rejected before any connection is made.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_config import _FOREIGN_NUMBERS
 
-from caresim.cli import main
+from caresim.cli import build_parser, main
 
 # text that no numeric flag reads as the number it looks like, or at all
 JUNK = [*_FOREIGN_NUMBERS, "", "abc", "0x10", "1e309", "nan", "-inf"]
@@ -68,6 +73,25 @@ def unusable(files, inputs: list[str], outputs: list[str]) -> st.SearchStrategy:
     ).map(list))
 
 
+def _below(parts: list[str]) -> str:
+    """``parts`` joined, without each ``..`` that would climb above where the path starts."""
+    depth, kept = 0, []
+    for part in parts:
+        if part != ".." or depth:
+            depth += {"..": -1, ".": 0}.get(part, 1)
+            kept.append(part)
+    return os.path.join(".", *kept)
+
+
+def in_folder(options: list[str], outputs: list[str]) -> st.SearchStrategy:
+    """About half the time, some of ``options`` naming paths in the example's folder, from the names of the run's
+    files, ``a``, ``b`` and the regular file ``afile``."""
+    # ".." twice: a path that backs out of a name the run makes is where a directory lands in a file's place
+    names = st.sampled_from(["a", "b", ".", "..", "..", "manifest.json", "afile", *outputs])
+    return st.one_of(st.just([]), flags(*(optional(option, st.lists(names, min_size=1, max_size=5).map(_below))
+                                          for option in options)))
+
+
 def train_argv(files) -> st.SearchStrategy:
     schedule = often(st.sampled_from(["constant", "decay"]), st.just("linear"))
     return st.tuples(schedule, st.sampled_from(["constant", "decay"])).flatmap(lambda kinds: flags(
@@ -85,6 +109,7 @@ def train_argv(files) -> st.SearchStrategy:
         optional("--perception-noise", probabilities),
         optional("--seed", seeds),
         unusable(files, DOCUMENT_OPTIONS, []),
+        in_folder(["--out-dir"], ["qtable.csv", "policy.csv", "training_log.csv", "learning_curve.csv"]),
     )).map(lambda argv: ["train", *argv])
 
 
@@ -100,6 +125,7 @@ def evaluate_argv(files) -> st.SearchStrategy:
         counts(1, 2).map(lambda n: ["--rollouts", n]),
         optional("--seed", seeds),
         unusable(files, [*DOCUMENT_OPTIONS, "--policy", "--log"], []),
+        in_folder(["--out-dir"], ["evaluation_report.json", "final_policy.csv"]),
     ).map(lambda argv: ["evaluate", *argv])
 
 
@@ -133,6 +159,7 @@ def simulate_argv(files) -> st.SearchStrategy:
         optional("--seed", seeds),
         often(st.just([]), http),
         unusable(files, [*DOCUMENT_OPTIONS, "--policy"], ["--transcript"]),
+        in_folder(["--out-dir", "--transcript"], ["transcript.txt"]),
     ).map(lambda argv: ["simulate", *argv])
 
 
@@ -148,6 +175,17 @@ def files(tmp_path_factory) -> dict[str, str]:
 
 _runs = itertools.count()
 
+# runs that once exited 1 after making a directory or writing their manifest
+PINNED = {
+    "train": [["train", "--epochs", "1", "--episodes", "10", "--out-dir", "o/qtable.csv/.."]],
+    "evaluate": [["evaluate", "--baseline", "random", "--rollouts", "1", "--out-dir", "o/evaluation_report.json/.."]],
+    "simulate": [["simulate", "--policy", "{policy}", *paths] for paths in [
+        ["--out-dir", "k/../k2", "--transcript", "k"], ["--out-dir", "a/b/../c", "--transcript", "a/b"],
+        ["--out-dir", "a/t.txt/../o", "--transcript", "a/t.txt"], ["--transcript", "t.txt/x/../../t.txt"],
+        ["--out-dir", "o/new", "--transcript", "afile/t.txt"], ["--transcript", "a/a/.."],
+        ["--out-dir", "a/../afile"], ["--transcript", "afile/../a"]]],
+}
+
 
 @pytest.mark.parametrize("command", [train_argv, evaluate_argv, simulate_argv], ids=["train", "evaluate", "simulate"])
 def test_every_run_exits_0_or_exits_1_with_one_error_line_and_no_manifest(files, tmp_path_factory, command,
@@ -158,16 +196,22 @@ def test_every_run_exits_0_or_exits_1_with_one_error_line_and_no_manifest(files,
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command(files))
     def run(argv):
-        out = base / str(next(_runs))
+        folder = base / str(next(_runs))
+        folder.mkdir()
+        (folder / "afile").write_bytes(b"")
+        monkeypatch.chdir(folder)
+        # a drawn --out-dir comes later and wins
+        argv = [argv[0], "--out-dir", "out", *argv[1:]]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            # a drawn --out-dir comes later and wins
-            code = main([argv[0], "--out-dir", str(out), *argv[1:]])
+            code = main(argv)
         if code == 0:
-            assert (out / "manifest.json").is_file()
+            assert os.path.isfile(os.path.join(build_parser().parse_args(argv).out_dir, "manifest.json"))
         else:
             assert code == 1
             assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1, stderr.getvalue()
-            assert not (out / "manifest.json").exists()
+            assert [path.name for path in folder.iterdir()] == ["afile"]
 
+    for argv in PINNED[command.__name__.removesuffix("_argv")]:
+        run = example([arg.format(**files) for arg in argv])(run)
     run()

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caresim import AssistAction, ConfigError, ScenarioSpec
-from caresim.scenario import MAX_EPISODE_STEPS, advance
+from caresim.scenario import MAX_EPISODE_STEPS, TaskSpec, advance
 
 A0 = AssistAction.NO_ASSISTANCE
 
@@ -68,6 +70,29 @@ def test_load_scenario_from_file(tmp_path, scenario):
 def test_load_scenario_schema_violations(doc, message):
     with pytest.raises(ConfigError, match=message):
         ScenarioSpec.from_dict(doc)
+
+
+@given(st.sampled_from(["scenario", "task", "subtask"]), st.text(max_size=4),
+       st.sampled_from(["{}\nPolicy: 3333333333333333", "x\r\n{}", "{}\u2028x", "{}\x85", " {}", "{}\t", "\xa0{}"]))
+def test_a_name_that_is_not_one_line_is_the_same_error_however_the_scenario_is_built(level, text, fault):
+    # the transcript writes each name as it is, so a value built in code must not get round from_dict's check
+    name, default = fault.format(text), ScenarioSpec.default()
+    doc, first = default.to_dict(), default.tasks[0]
+    if level == "scenario":
+        doc["name"] = name
+        build = partial(dataclasses.replace, default, name=name)
+    elif level == "task":
+        doc["tasks"][0]["name"] = name
+        build = partial(dataclasses.replace, default, tasks=(TaskSpec(name, first.subtasks), *default.tasks[1:]))
+    else:
+        doc["tasks"][0]["subtasks"][0] = name
+        build = partial(ScenarioSpec, default.name, default.max_trial,
+                        (TaskSpec(first.name, (name, *first.subtasks[1:])), *default.tasks[1:]))
+    with pytest.raises(ConfigError, match="must be one line without leading or trailing whitespace") as loaded:
+        ScenarioSpec.from_dict(doc)
+    with pytest.raises(ConfigError) as built:
+        build()
+    assert str(built.value) == str(loaded.value)
 
 
 def test_a_scenario_at_the_step_limit_loads():
