@@ -12,10 +12,10 @@ is the reference experiment.
 from __future__ import annotations
 
 import argparse
-import errno
 import hashlib
 import os
 import sys
+from contextlib import suppress
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
@@ -82,71 +82,77 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
     return status.st_dev, status.st_ino
 
 
-def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
+def _undo(made: list[str]) -> None:
+    """Remove the directories a failed run made, last made first; one that is no longer empty stays."""
+    for directory in reversed(made):
+        with suppress(OSError):
+            os.rmdir(directory)
+
+
+def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> list[str]:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
     ``config`` is the ``to_dict()`` of the value the command runs, and each
-    output path is spelled as ``str(Path(...))`` spells it. The run makes
-    ``out_dir`` and each output's parent with every leading directory of each,
-    as written (``a/b/../c`` makes ``a/b``); by normalized absolute path, none
-    may be the manifest (``o/manifest.json/x``) or an output. Nor may an output
-    be a directory, the manifest, a symlink loop or a file the command read,
-    nor a directory to make lie under a file. Only then are the missing
-    directories made, so a failed run leaves nothing behind. The manifest is
-    ``json.dumps(manifest, indent=2)`` and a newline; ``render_json`` splices
-    in each document's ``indented_json``.
+    output path is spelled as ``str(Path(...))`` spells it. The run first makes
+    ``out_dir`` and each output's parent with every missing leading directory,
+    as written, and records those it made; then it judges each path on disk:
+    no directory made may be the manifest (``o/manifest.json/x``), and no
+    output may be a directory, the manifest, a symlink loop or a file the
+    command read. If a step fails, the directories made are removed, so a
+    failed run leaves nothing behind. Returns them, in the order made. The
+    manifest is ``json.dumps(manifest, indent=2)`` and a newline;
+    ``render_json`` splices in each document's ``indented_json``.
     """
     manifest = out_dir / "manifest.json"
     read = {_file_id(path): f"--{option} file {path}"
             for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
     read.pop(None, None)
-    absolute = {path: os.path.abspath(path) for path in outputs.values()}
-    names = {manifest.name, *map(os.path.basename, absolute.values())}
-    made = {}  # each directory the run makes or passes through, by absolute path: the first (name, path) to it
-    for name, path, head in [("--out-dir", str(out_dir), str(out_dir)),
-                             *((name, path, os.path.dirname(path)) for name, path in outputs.items())]:
-        while head != (parent := os.path.dirname(head)) and any(file in head for file in names):
-            if os.path.basename(head) in names:  # only such a head can normalize to a file
-                made.setdefault(os.path.abspath(head), (name, path))
-            head = parent
-    if first := made.get(os.path.abspath(manifest)):
-        raise ConfigError("%s path %s passes through the run's manifest" % first)
-    for name, path in outputs.items():
-        # as written, and as "a/../t" will be once "a" is made
-        if absolute[path] in made or os.path.isdir(path) or ".." in path and os.path.isdir(absolute[path]):
-            raise ConfigError(f"{name} path {path} is a directory")
-        # only a path named manifest.json or a symlink can resolve to it; resolving lstats each component
-        if os.path.basename(path) == manifest.name or os.path.islink(path):
-            resolved = os.path.realpath(path)
-            if resolved == os.path.realpath(manifest):
-                raise ConfigError(f"{name} path {path} is the run's manifest")
-            if os.path.islink(resolved):  # where realpath stops on a symlink loop
-                raise ConfigError(f"{name} path {path} is a symlink loop")
-    for name, path in {**outputs, "manifest": str(manifest)}.items():
-        file_id = _file_id(path)
-        if file_id in read:
-            raise ConfigError(f"{name} path {path} is the {read[file_id]}")
-    missing = [parent for parent in dict.fromkeys([str(out_dir), *map(os.path.dirname, outputs.values())])
-               if parent and not os.path.isdir(parent)]  # "" is the working directory
-    for parent in missing:
-        heads = [parent]  # up to the nearest that exists as written
-        while heads[-1] and not os.path.lexists(heads[-1]):
-            heads.append(os.path.dirname(heads[-1]))
-        # top down, each as it is once those above it are made: where os.makedirs fails, and how
-        for below, head in reversed(list(zip([parent, *heads], heads))):
-            if os.path.lexists(view := os.path.normpath(head)) and not os.path.isdir(view):
-                code = errno.EEXIST if head == below else errno.ENOTDIR
-                raise OSError(code, os.strerror(code), below)
-    for parent in missing:
-        os.makedirs(parent, exist_ok=True)
-    write_json(manifest, {
-        "command": args.command,
-        "version": __version__,
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config,
-        "outputs": outputs,
-    })
+    made = {}  # each directory the run made, in the order made: the (name, path) that led to it
+    try:
+        for name, path, parent in [("--out-dir", str(out_dir), str(out_dir)),
+                                   *((name, path, os.path.dirname(path)) for name, path in outputs.items())]:
+            if parent and not os.path.isdir(parent):  # "" is the working directory
+                heads = [parent]  # up to the nearest that exists as written
+                while heads[-1] and not os.path.lexists(heads[-1]):
+                    heads.append(os.path.dirname(heads[-1]))
+                for head in reversed(heads[:-1] or heads):  # top down; a parent there but no directory fails
+                    if not os.path.isdir(head):  # "a/.." and "a/x/../b" may be there once "a/x" is made
+                        os.mkdir(head)
+                        made[head] = (name, path)
+        manifest_id = _file_id(manifest)
+        for directory, first in made.items():
+            if _file_id(directory) == manifest_id:
+                raise ConfigError("%s path %s passes through the run's manifest" % first)
+        for name, path in outputs.items():
+            if os.path.isdir(path):
+                raise ConfigError(f"{name} path {path} is a directory")
+            # only a path named manifest.json or a symlink can resolve to it; resolving lstats each component
+            if os.path.basename(path) == manifest.name or os.path.islink(path):
+                resolved = os.path.realpath(path)
+                if resolved == os.path.realpath(manifest):
+                    raise ConfigError(f"{name} path {path} is the run's manifest")
+                if os.path.islink(resolved):  # where realpath stops on a symlink loop
+                    raise ConfigError(f"{name} path {path} is a symlink loop")
+        taken = {manifest_id: "run's manifest", **read}  # an output hard-linked to the manifest is the manifest
+        taken.pop(None, None)
+        for name, path in outputs.items():
+            file_id = _file_id(path)
+            if file_id in taken:
+                raise ConfigError(f"{name} path {path} is the {taken[file_id]}")
+        if manifest_id in read:
+            raise ConfigError(f"manifest path {manifest} is the {read[manifest_id]}")
+        write_json(manifest, {
+            "command": args.command,
+            "version": __version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "config": config,
+            "outputs": outputs,
+        })
+    except BaseException:
+        _undo(list(made))
+        raise
+    return list(made)
 
 
 def cmd_train(args) -> int:
@@ -245,9 +251,13 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.txt"
     try:
-        _write_manifest(out_dir, args, config.to_dict(), {"transcript": str(transcript_path)})
+        made = _write_manifest(out_dir, args, config.to_dict(), {"transcript": str(transcript_path)})
         result = run_session(policy, env, backend, seed=config.seed, noise=config.noise,
                              use_perceived=config.use_perceived, variant=config.variant)
+    except BackendError:  # _write_manifest raises none, so made is set
+        os.unlink(out_dir / "manifest.json")
+        _undo(made)
+        raise
     finally:
         if http is not None:
             backend.close()

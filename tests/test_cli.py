@@ -703,6 +703,39 @@ def test_simulate_transcript_that_is_the_manifest_is_an_error_before_writing_any
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_transcript_hard_linked_to_the_manifest_is_an_error_before_writing_anything(tmp_path, capsys,
+                                                                                       monkeypatch):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--policy", str(policy), "--out-dir", "o"]) == 0
+    os.link("o/manifest.json", "h.txt")
+    before = {file: file.is_file() and file.read_bytes() for file in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main(["simulate", "--policy", str(policy), "--out-dir", "o", "--transcript", "h.txt"]) == 1
+    assert capsys.readouterr().err == "error: transcript path h.txt is the run's manifest\n"
+    assert {file: file.is_file() and file.read_bytes() for file in tmp_path.rglob("*")} == before
+
+
+# d/e is a directory and l a symlink to it, so l/.. is d: each transcript is judged where it lands
+@pytest.mark.parametrize("out_dir, transcript, code, err, tree", [
+    ("t", "l/../t", 0, "", ["d", "d/e", "d/t", "l", "policy.csv", "t", "t/manifest.json"]),
+    ("d/new", "l/../new", 1, "error: transcript path l/../new is a directory\n", ["d", "d/e", "l", "policy.csv"]),
+], ids=["new-file-beside-the-link-target", "the-out-dir-beside-the-link-target"])
+def test_a_transcript_that_backs_out_of_a_symlink_is_judged_on_disk(tmp_path, capsys, monkeypatch, out_dir,
+                                                                    transcript, code, err, tree):
+    policy = tmp_path / "policy.csv"
+    Policy.from_id("0123012301230123").to_file(policy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d" / "e").mkdir(parents=True)
+    (tmp_path / "l").symlink_to(Path("d", "e"))
+    assert main(["simulate", "--policy", str(policy), "--out-dir", out_dir, "--transcript", transcript]) == code
+    assert capsys.readouterr().err == err
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == tree
+    if code == 0:
+        assert (tmp_path / "d" / "t").read_text(encoding="utf-8").startswith("Scenario: shopping\n")
+
+
 @pytest.mark.parametrize("argv, name, path", [
     (["simulate", "--policy", "p.csv", "--out-dir", "m1", "--transcript", "m1/manifest.json/x"],
      "transcript", "m1/manifest.json/x"),

@@ -278,6 +278,19 @@ def test_simulate_against_content_that_utf8_cannot_encode_is_an_error(raw, tmp_p
     assert capsys.readouterr().err.startswith("error: malformed completion reply")
 
 
+def test_simulate_whose_backend_fails_leaves_no_manifest_and_no_directory(raw, tmp_path, capsys):
+    raw.script.append(Reply(reply(400, '{"error": "bad request"}')))
+    policy = tmp_path / "policy.csv"
+    Policy(tuple([AssistAction.NO_ASSISTANCE] * 16)).to_file(policy)
+    code = main(["simulate", "--policy", str(policy), "--backend", "http",
+                 "--base-url", raw.base_url, "--llm-model", "m", "--max-retries", "0",
+                 "--out-dir", str(tmp_path / "o" / "new")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "400" in err
+    assert list(tmp_path.iterdir()) == [policy]
+
+
 def test_simulate_one_lines_multi_line_replies_before_the_next_prompt(raw, tmp_path):
     raw.script.extend([
         Reply(ok_reply("Nonverbal:  stares\n\n  at the shelf \nVerbal: Which one?\nOutput format: [1,1,1,1]\n")),
