@@ -82,32 +82,38 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
     return status.st_dev, status.st_ino
 
 
-def _undo(made: list[str]) -> None:
-    """Remove the directories a failed run made, last made first; one that is no longer empty stays."""
+def _undo(files: list[str], made: list[str]) -> None:
+    """Remove each of ``files`` that is no symlink (no run makes one), then each directory of ``made``, last first."""
+    for file in files:
+        if not os.path.islink(file):
+            with suppress(OSError):
+                os.unlink(file)
     for directory in reversed(made):
         with suppress(OSError):
             os.rmdir(directory)
 
 
-def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> list[str]:
+def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) -> None:
     """Write ``out_dir/manifest.json`` for ``args.command`` once every output path can take a file.
 
     ``config`` is the ``to_dict()`` of the value the command runs, and each
     output path is spelled as ``str(Path(...))`` spells it. The run first makes
     ``out_dir`` and each output's parent with every missing leading directory,
-    as written, and records those it made; then it judges each path on disk:
-    no directory made may be the manifest (``o/manifest.json/x``), and no
-    output may be a directory, the manifest, a symlink loop or a file the
-    command read. If a step fails, the directories made are removed, so a
-    failed run leaves nothing behind. Returns them, in the order made. The
-    manifest is ``json.dumps(manifest, indent=2)`` and a newline;
-    ``render_json`` splices in each document's ``indented_json``.
+    as written, and records those it made; then it judges each path on disk: no
+    directory made may be the manifest (``o/manifest.json/x``), and no output
+    may be a directory, the manifest, a symlink loop or a file the command
+    read. If a step fails, a manifest new to the run and the directories made
+    are removed; once it is written, ``args.written`` holds what ``main``
+    removes if the run exits 1: each output new to the run, the manifest and
+    the directories. The manifest is ``json.dumps(manifest, indent=2)`` and a
+    newline; ``render_json`` splices in each document's ``indented_json``.
     """
     manifest = out_dir / "manifest.json"
     read = {_file_id(path): f"--{option} file {path}"
             for option in _INPUT_OPTIONS if (path := getattr(args, option, None))}
     read.pop(None, None)
     made = {}  # each directory the run made, in the order made: the (name, path) that led to it
+    files = []  # each output, then the manifest, that the stats before the write found absent: the run creates them
     try:
         for name, path, parent in [("--out-dir", str(out_dir), str(out_dir)),
                                    *((name, path, os.path.dirname(path)) for name, path in outputs.items())]:
@@ -139,8 +145,12 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
             file_id = _file_id(path)
             if file_id in taken:
                 raise ConfigError(f"{name} path {path} is the {taken[file_id]}")
+            if file_id is None:
+                files.append(path)
         if manifest_id in read:
             raise ConfigError(f"manifest path {manifest} is the {read[manifest_id]}")
+        if manifest_id is None:  # a write that fails partway leaves no part of a new manifest
+            files.append(str(manifest))
         write_json(manifest, {
             "command": args.command,
             "version": __version__,
@@ -150,9 +160,9 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: dict[str, str]) 
             "outputs": outputs,
         })
     except BaseException:
-        _undo(list(made))
+        _undo(files, list(made))
         raise
-    return list(made)
+    args.written = (files if manifest_id is None else [*files, str(manifest)]), list(made)
 
 
 def cmd_train(args) -> int:
@@ -251,13 +261,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.txt"
     try:
-        made = _write_manifest(out_dir, args, config.to_dict(), {"transcript": str(transcript_path)})
+        _write_manifest(out_dir, args, config.to_dict(), {"transcript": str(transcript_path)})
         result = run_session(policy, env, backend, seed=config.seed, noise=config.noise,
                              use_perceived=config.use_perceived, variant=config.variant)
-    except BackendError:  # _write_manifest raises none, so made is set
-        os.unlink(out_dir / "manifest.json")
-        _undo(made)
-        raise
     finally:
         if http is not None:
             backend.close()
@@ -345,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, BackendError, OSError) as exc:
+        if written := getattr(args, "written", None):  # any other exception leaves the manifest in place
+            _undo(*written)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

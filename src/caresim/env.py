@@ -9,14 +9,14 @@ step is always a single (state, action, reward, next_state) tuple.
 
 Random draws per step: 4 for the assisted transition, plus 4 more when a
 forced skip fires, one per status in the order ``states.sample_index``
-fixes. ``step`` makes them itself, on the rng's ``random`` bound at reset,
-and calls no sampler. It packs them as ``sample_index`` does, each draw
-compared in a branch and its bit added, and sums the edge slot as
-integers, so that CPython's specializing interpreter runs every compare,
-add and subscript of the step in its int, float or tuple form. An action
-outside 0-3 is a ``ValueError`` raised before any draw. The rng is
-supplied at reset and owned by the episode; independent episodes with
-independent rngs may run in parallel.
+fixes. A forced skip (1-2% of steps) calls ``sample_index``; the assisted
+transition, on every step, makes the same draws inline on the rng's
+``random`` bound at reset, each compared in a branch and its bit added, and
+the step sums its edge slot as integers, so that CPython's specializing
+interpreter runs every compare, add and subscript of the step in its int,
+float or tuple form. An action outside 0-3 is a ``ValueError`` raised
+before any draw. The rng is supplied at reset and owned by the episode;
+independent episodes with independent rngs may run in parallel.
 
 Every step of every caller goes through ``CaregivingEnv.step`` as looked
 up on the class when the episode starts: the rollout and training loops
@@ -57,7 +57,7 @@ from typing import Any, Callable, Collection, NamedTuple
 from .config import Document, read_object
 from .reward import RewardWeights, compute_reward
 from .scenario import ScenarioSpec, StepEvents, advance
-from .states import ALL_STATES, AssistAction, StatusVector
+from .states import ALL_STATES, AssistAction, StatusVector, sample_index
 from .transition import TransitionModel
 
 
@@ -100,7 +100,6 @@ class CaregivingEnv:
         self.scenario = scenario
         self.weights = weights
         self._onset_table = model.onset
-        self._skip_table = model.skip
         self._draw: Callable[[], float] | None = None  # the episode rng's ``random``, bound at reset
         self._end = scenario.max_episode_steps  # the terminal node
         self._edges = _edge_table(scenario, weights)
@@ -143,14 +142,7 @@ class CaregivingEnv:
         # the slot node << 3 | all clear << 2 | action, summed as integers
         self.node, skips, outcomes = self._edges[node * 8 + (4 if post == 0 else 0) + action]
         if skips:
-            p0, p1, p2, p3 = self._skip_table[post]
-            post = 1 if draw() < p0 else 0
-            if draw() < p1:
-                post += 2
-            if draw() < p2:
-                post += 4
-            if draw() < p3:
-                post += 8
+            post = sample_index(self.model.skip[post], draw.__self__)  # the episode's rng
         self.index = post
         return outcomes[post]
 

@@ -113,13 +113,12 @@ def sample_index(probs: tuple[float, float, float, float], rng: random.Random) -
     """Draw the four statuses in order, each on with its probability; exactly 4 draws.
 
     Returns the packed index of the sampled vector, so sampling allocates
-    nothing. It defines the draw order of status bits: ``transition`` and
-    perception noise (``flip_index``) call it, and ``CaregivingEnv.step``
-    repeats it inline, in this same form, for the assisted transition and
-    for a forced skip, as the environment tests check draw for draw. Each
-    draw is compared in a branch and its bit added: CPython specializes a
-    float compare-and-branch and an int add, but not ``|`` or ``<<`` on the
-    bools that a bare compare gives.
+    nothing. It defines the draw order of status bits and makes every status
+    draw (``transition``, a forced skip, ``flip_index``) but one: the assisted
+    transition of ``CaregivingEnv.step`` repeats it inline, in this same form,
+    as the environment tests check draw for draw. Each draw is compared in a
+    branch and its bit added: CPython specializes a float compare-and-branch
+    and an int add, but not ``|`` or ``<<`` on the bools a bare compare gives.
     """
     draw = rng.random
     p0, p1, p2, p3 = probs

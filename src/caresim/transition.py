@@ -23,8 +23,8 @@ probability.
 All sampling is Bernoulli per status, conditionally independent given the
 current vector, in the draw order of ``states.sample_index``: exactly 4 rng
 draws in fixed status order, so replays stay aligned under model edits.
-``transition`` calls ``sample_index``; the environment's step makes the same
-draws inline on the ``onset`` and ``skip`` tables. Sampled vectors are the
+``transition`` and a forced skip call ``sample_index``; only the environment's
+assisted transition makes the same draws inline. Sampled vectors are the
 shared ``ALL_STATES`` instances, never fresh objects.
 """
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -793,6 +794,51 @@ def test_an_output_path_that_is_a_directory_is_an_error_before_writing_manifest(
     assert code == 1
     assert f"path {tmp_path / 'o' / output} is a directory" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def _writes_fail_after(monkeypatch, writes: int, partial: int) -> None:
+    """Let the first ``writes`` calls of ``os.write`` through; each later one writes ``partial`` bytes, then fails."""
+    write, calls = os.write, []
+
+    def fail(fd, data):
+        calls.append(fd)
+        if len(calls) <= writes:
+            return write(fd, data)
+        write(fd, bytes(data[:partial]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(caresim.config.os, "write", fail)
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+# each run fails once its manifest's first byte may be on disk: a manifest write that stops after 10 bytes, the
+# first write of an output, or a transcript that takes no byte; the last is a rerun over a finished run's out dir
+@pytest.mark.parametrize("argv, writes, rerun", [
+    (["simulate", "--policy", "t/policy.csv"], (0, 10), False),
+    (["train", "--epochs", "1", "--episodes", "10", "--snapshot-rollouts", "1"], (1, 0), False),
+    (["evaluate", "--select-final", "--log", "t/training_log.csv", "--rollouts", "2"], (1, 0), False),
+    (["simulate", "--policy", "t/policy.csv"], (1, 0), False),
+    pytest.param(["simulate", "--policy", "t/policy.csv", "--transcript", "/dev/full"], None, False, marks=DEV_FULL),
+    pytest.param(["simulate", "--policy", "t/policy.csv", "--transcript", "/dev/full"], None, True, marks=DEV_FULL),
+], ids=["manifest-write-stops-partway", "train-output", "select-final-output", "simulate-output",
+        "simulate-transcript-dev-full", "rerun-transcript-dev-full"])
+def test_a_run_that_exits_1_after_writing_removes_what_it_created(tmp_path, capsys, monkeypatch, argv, writes,
+                                                                  rerun):
+    run_train(tmp_path, "t")
+    monkeypatch.chdir(tmp_path)
+    if rerun:
+        assert main(["simulate", "--policy", "t/policy.csv", "--out-dir", "o/new"]) == 0
+    before = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
+    capsys.readouterr()
+    if writes is not None:
+        _writes_fail_after(monkeypatch, *writes)
+    assert main([*argv, "--out-dir", "o/new"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    # outputs that were there before the run were rewritten in place, and stay; the manifest goes
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+        path for path in before if path != "o/new/manifest.json"]
 
 
 def test_simulate_http_backend_requires_credential(tmp_path, capsys, monkeypatch):

@@ -6,11 +6,13 @@ separators, whitespace and words. Now and then an input or an output option
 names a path that no run can use: one holding a NUL, or, for an output, a
 symlink loop. About half the time ``--out-dir`` (and for ``simulate``,
 ``--transcript``) names a path in the example's own folder, spelled with ``.``,
-``..``, the run's file names and a regular file: a run that exits 1 must leave
-that folder as it found it, with no manifest and no directory made. The runs
-are kept small (``train`` at one epoch, ``evaluate`` at most 2 rollouts,
-``simulate`` on the template backend), and the HTTP flags come only in
-combinations that are rejected before any connection is made.
+``..``, the run's file names and a regular file, or now and then a
+``--transcript`` is ``/dev/full``, which fails the run after it writes its
+manifest: a run that exits 1 must leave that folder as it found it, with no
+manifest and no directory made. The runs are kept small (``train`` at one
+epoch, ``evaluate`` at most 2 rollouts, ``simulate`` on the template backend),
+and the HTTP flags come only in combinations that are rejected before any
+connection is made.
 """
 
 from __future__ import annotations
@@ -83,13 +85,19 @@ def _below(parts: list[str]) -> str:
     return os.path.join(".", *kept)
 
 
+# a transcript that takes no byte
+FULL = ["/dev/full"] if os.path.exists("/dev/full") else []
+
+
 def in_folder(options: list[str], outputs: list[str]) -> st.SearchStrategy:
     """About half the time, some of ``options`` naming paths in the example's folder, from the names of the run's
-    files, ``a``, ``b`` and the regular file ``afile``."""
+    files, ``a``, ``b`` and the regular file ``afile``, or now and then a ``--transcript`` of ``/dev/full``."""
     # ".." twice: a path that backs out of a name the run makes is where a directory lands in a file's place
     names = st.sampled_from(["a", "b", ".", "..", "..", "manifest.json", "afile", *outputs])
-    return st.one_of(st.just([]), flags(*(optional(option, st.lists(names, min_size=1, max_size=5).map(_below))
-                                          for option in options)))
+    paths = {option: st.lists(names, min_size=1, max_size=5).map(_below) for option in options}
+    if FULL and "--transcript" in paths:
+        paths["--transcript"] = often(paths["--transcript"], st.sampled_from(FULL))
+    return st.one_of(st.just([]), flags(*(optional(option, text) for option, text in paths.items())))
 
 
 def train_argv(files) -> st.SearchStrategy:
@@ -183,7 +191,8 @@ PINNED = {
         ["--out-dir", "k/../k2", "--transcript", "k"], ["--out-dir", "a/b/../c", "--transcript", "a/b"],
         ["--out-dir", "a/t.txt/../o", "--transcript", "a/t.txt"], ["--transcript", "t.txt/x/../../t.txt"],
         ["--out-dir", "o/new", "--transcript", "afile/t.txt"], ["--transcript", "a/a/.."],
-        ["--out-dir", "a/../afile"], ["--transcript", "afile/../a"]]],
+        ["--out-dir", "a/../afile"], ["--transcript", "afile/../a"],
+        *(["--out-dir", "o/new", "--transcript", full] for full in FULL)]],
 }
 
 
